@@ -33,7 +33,7 @@ fmt-check:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-	$(GO) run ./cmd/experiments -quick -bench-json BENCH_experiments.json > /dev/null
+	$(GO) run ./cmd/experiments -quick -serial -bench-json BENCH_experiments.json > /dev/null
 	$(GO) run ./cmd/selfmaintlint -factcache .cache/selfmaintlint -bench-json BENCH_experiments.json ./...
 	$(GO) run ./cmd/cpload -watchers 1000 -steps 30 -queue-cap 64 -heap-mb 128 -bench-json BENCH_experiments.json > /dev/null
 
@@ -41,7 +41,7 @@ bench:
 # incremental-invalidation and zero-alloc paths still build and run in CI.
 # Real numbers come from `make bench`.
 bench-quick:
-	$(GO) test -run '^$$' -bench 'BenchmarkRouterFlapChurn|BenchmarkEvaluateSteadyState|BenchmarkUniformEvaluate' -benchtime=1x .
+	$(GO) test -run '^$$' -bench 'BenchmarkRouterFlapChurn|BenchmarkRouterDrainBurst|BenchmarkEvaluateSteadyState|BenchmarkUniformEvaluate' -benchtime=1x .
 
 # Performance-regression gate: regenerate the quick-suite BENCH artifact and
 # diff it against the committed baseline; any experiment more than 25%

@@ -302,6 +302,37 @@ func BenchmarkRouterFlapChurn(b *testing.B) {
 	})
 }
 
+// BenchmarkRouterDrainBurst measures the controller's drain-before-touch
+// path on a warm fat-tree k=12 router (uniform matrix evaluated once): each
+// iteration drains four fabric links on adjacent ports of one aggregation
+// switch — the shape of Act.preDrain's impact set, the touched cable plus
+// the cables within the robot's touch radius — and undrains them again.
+func BenchmarkRouterDrainBurst(b *testing.B) {
+	net, err := topology.NewFatTree(topology.DefaultFatTree(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r := routing.NewRouter(net, nil)
+	var ws routing.Workspace
+	r.EvaluateInto(&ws, routing.UniformMatrix(net, 1000))
+	var burst []topology.LinkID
+	for _, p := range net.DevicesOfKind(topology.AggSwitch)[0].Ports {
+		if p.Link != nil && len(burst) < 4 {
+			burst = append(burst, p.Link.ID)
+		}
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, id := range burst {
+			r.Drain(id)
+		}
+		for _, id := range burst {
+			r.Undrain(id)
+		}
+	}
+}
+
 // BenchmarkUniformEvaluate measures full-injection uniform evaluation on
 // the F4 xpander build — the maintindex probe that dominated the quick
 // suite before the destination-rooted engine. Sub-benchmarks cover the cold

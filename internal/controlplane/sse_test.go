@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -213,6 +214,7 @@ func TestStreamResumeOverHTTP(t *testing.T) {
 	// Published while disconnected.
 	h.Publish("sense.alert", "", false, sim.Hour, []byte(`{"i":2}`))
 	h.Publish("sense.alert", "", false, sim.Hour, []byte(`{"i":3}`))
+	waitDetached(t, h, hello.Session)
 
 	resp2, r2 := openStream(t, fmt.Sprintf("%s?client=resumer&resume=%s&last=%d", srv.URL, hello.Session, lastSeen))
 	defer resp2.Body.Close()
@@ -228,6 +230,29 @@ func TestStreamResumeOverHTTP(t *testing.T) {
 		if got, _ := strconv.ParseUint(f.ID, 10, 64); got != want {
 			t.Fatalf("replayed delta %d id = %d, want %d", i, got, want)
 		}
+	}
+}
+
+// waitDetached blocks until the hub has detached session id. The server
+// learns of a dropped connection asynchronously, so a client that resumes
+// at once can still find the old stream attached (409).
+func waitDetached(t *testing.T, h *Hub, id string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		attached := false
+		for _, s := range h.Sessions() {
+			if s.ID == id && s.Attached {
+				attached = true
+			}
+		}
+		if !attached {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("session %s still attached 5s after its stream dropped", id)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

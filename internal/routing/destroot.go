@@ -19,10 +19,10 @@
 // downstream device, so truncating suffix lists at MaxPaths loses nothing
 // (see TestDestRootedMatchesPerPairEnumerator).
 //
-// All suffixes of one destination live in a single flat arena (one backing
-// []*topology.Link; per-device offset spans) instead of individually
-// allocated path slices, so a warm evaluation allocates nothing and a
-// rebuild reuses the retained arena.
+// All suffixes of one destination live in a single flat arena of int32 link
+// IDs (per-device offset spans) instead of individually allocated path
+// slices, so a warm evaluation allocates nothing, a rebuild reuses the
+// retained arena, and the garbage collector has no pointers to scan in it.
 //
 // Incremental maintenance extends the router's per-link invalidation: a
 // link transition that can change a destination's DAG shelves that
@@ -48,13 +48,14 @@ import (
 
 // destState is the destination-rooted ECMP structure for one destination:
 // for every device, the device's shortest-path suffixes toward the
-// destination, laid out contiguously in one arena. Device d's suffixes are
-// count[d] runs of plen[d] links each, starting at arena[start[d]]; plen[d]
-// is d's BFS distance to the destination at build time.
+// destination, laid out contiguously in one arena of link IDs. Device d's
+// suffixes are count[d] runs of plen[d] links each, starting at
+// arena[start[d]]; plen[d] is d's BFS distance to the destination at build
+// time.
 type destState struct {
 	stamp uint64 // distance-field stamp the structure was built over
 	sig   uint64 // subgraph signature at build time (see subgraphSig)
-	arena []*topology.Link
+	arena []int32
 	start []int32
 	count []int32
 	plen  []int32
@@ -248,8 +249,8 @@ func (r *Router) builderFor(w int) *destBuilder {
 // downstream device, always its first ones).
 //
 // The function only reads shared router state (distance field, adjacency,
-// usability) and writes ds, so concurrent builds of different destinations
-// are race-free.
+// the usability snapshot) and writes ds, so concurrent builds of different
+// destinations are race-free.
 //
 //selfmaint:hotpath
 func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID, e distEntry) {
@@ -292,39 +293,58 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 		}
 	}
 
-	arena := ds.arena[:0]
+	// First pass: every device's suffix count and span, so the arena is
+	// sized exactly once. Each device's count is its next hops' counts
+	// summed in adjacency order and capped at MaxPaths — exactly the
+	// suffixes the second pass materializes.
 	mp := int32(r.MaxPaths)
+	total := int32(0)
 	for _, d := range order {
 		if d == dst {
 			ds.count[d] = 1 // one empty suffix: the destination itself
 			continue
 		}
 		k := int32(dist[d])
-		base := int32(len(arena))
 		cnt := int32(0)
 		for _, np := range r.net.Neighbors(d) {
 			if cnt >= mp {
 				break
 			}
-			if !r.Usable(np.Link) {
-				continue
-			}
-			p := np.Peer.ID
-			if int32(dist[p]) != k-1 {
-				continue
-			}
-			ps, pc, plen := ds.start[p], ds.count[p], k-1
-			for i := int32(0); i < pc && cnt < mp; i++ {
-				//lint:allow hotpathalloc arena growth; the backing array is retained on the destState and reused across rebuilds
-				arena = append(arena, np.Link)
-				if plen > 0 {
-					//lint:allow hotpathalloc arena growth; the backing array is retained on the destState and reused across rebuilds
-					arena = append(arena, arena[ps+i*plen:ps+(i+1)*plen]...)
-				}
-				cnt++
+			if r.lastUsable[np.Link.ID] && int32(dist[np.Peer.ID]) == k-1 {
+				cnt = min(mp, cnt+ds.count[np.Peer.ID])
 			}
 		}
-		ds.start[d], ds.count[d], ds.plen[d] = base, cnt, k
+		ds.start[d], ds.count[d], ds.plen[d] = total, cnt, k
+		total += cnt * k
+	}
+	if cap(ds.arena) < int(total) {
+		//lint:allow hotpathalloc arena growth; the backing array is retained on the destState and reused across rebuilds
+		ds.arena = make([]int32, total)
+	}
+	arena := ds.arena[:total]
+	// Second pass: each suffix is one link prepended to a next hop's
+	// already-written suffix.
+	for _, d := range order {
+		k, w, left := ds.plen[d], ds.start[d], ds.count[d]
+		if k == 0 {
+			continue // the destination's empty suffix takes no space
+		}
+		for _, np := range r.net.Neighbors(d) {
+			if left == 0 {
+				break
+			}
+			p := np.Peer.ID
+			if !r.lastUsable[np.Link.ID] || int32(dist[p]) != k-1 {
+				continue
+			}
+			ps := ds.start[p]
+			for i := int32(0); i < ds.count[p] && left > 0; i++ {
+				arena[w] = int32(np.Link.ID)
+				copy(arena[w+1:w+k], arena[ps+i*(k-1):ps+(i+1)*(k-1)])
+				w += k
+				left--
+			}
+		}
 	}
 	ds.arena = arena
 	ds.stamp = e.stamp

@@ -1,8 +1,10 @@
 package routing
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -26,44 +28,97 @@ func freshEvaluate(r *Router, tm TrafficMatrix) Assessment {
 
 // Differential property: a router maintained with per-link incremental
 // invalidation produces byte-identical assessments to one that full-flushes
-// after every change, across randomized flap/drain/undrain/repair sequences
-// on random fabrics.
+// after every change, across randomized flap/drain/undrain/repair sequences.
+// Random Jellyfish fabrics take one fabric-link transition per evaluation;
+// the four studied topology families take bursts of 1–5 transitions on any
+// link (the shape of a pre-drain impact set, host links included). After
+// every single transition each cached distance field must be exact: equal to
+// a fresh BFS, with a tight bitset equal to topology.ShortestPathLinks.
 func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
+	type fabricCase struct {
+		name  string
+		net   *topology.Network
+		links []*topology.Link
+		seed  uint64
+		burst bool
+	}
+	var cases []fabricCase
 	for _, seed := range []uint64{1, 2, 3, 7, 11, 23, 42} {
 		net := buildRandomFabric(t, 12, 4, 2, seed)
+		cases = append(cases, fabricCase{fmt.Sprintf("jellyfish-12x4 seed %d", seed), net, net.SwitchLinks(), seed, false})
+	}
+	for i, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander"} {
+		net := buildTopo(t, kind)
+		cases = append(cases, fabricCase{kind + " burst", net, net.Links, uint64(101 + i), true})
+	}
+	for _, c := range cases {
 		down := map[topology.LinkID]bool{}
 		health := func(id topology.LinkID) bool { return !down[id] }
-		inc := NewRouter(net, health)
-		ref := NewRouter(net, health)
-		tm := UniformMatrix(net, 700)
-		fabric := net.SwitchLinks()
-		rng := rand.New(rand.NewPCG(seed, 0x1f1a9))
+		inc := NewRouter(c.net, health)
+		ref := NewRouter(c.net, health)
+		tm := UniformMatrix(c.net, 700)
+		rng := rand.New(rand.NewPCG(c.seed, 0x1f1a9))
 		for step := 0; step < 50; step++ {
-			l := fabric[rng.IntN(len(fabric))]
-			switch rng.IntN(4) {
-			case 0: // fault onset or flap-down
-				down[l.ID] = true
-				inc.InvalidateLink(l.ID)
-			case 1: // repair or flap-up
-				down[l.ID] = false
-				inc.InvalidateLink(l.ID)
-			case 2:
-				inc.Drain(l.ID)
-				ref.Drain(l.ID)
-			case 3:
-				inc.Undrain(l.ID)
-				ref.Undrain(l.ID)
+			burst := 1
+			if c.burst {
+				burst = 1 + rng.IntN(5)
+			}
+			for j := 0; j < burst; j++ {
+				l := c.links[rng.IntN(len(c.links))]
+				switch rng.IntN(4) {
+				case 0: // fault onset or flap-down
+					down[l.ID] = true
+					inc.InvalidateLink(l.ID)
+				case 1: // repair or flap-up
+					down[l.ID] = false
+					inc.InvalidateLink(l.ID)
+				case 2:
+					inc.Drain(l.ID)
+					ref.Drain(l.ID)
+				case 3:
+					inc.Undrain(l.ID)
+					ref.Undrain(l.ID)
+				}
+				checkFieldsExact(t, inc, fmt.Sprintf("%s step %d transition %d", c.name, step, j))
 			}
 			ref.Invalidate() // the reference router always full-flushes
 			a, b := inc.Evaluate(tm), ref.Evaluate(tm)
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("seed %d step %d: incremental %v != full-flush %v", seed, step, a, b)
+				t.Fatalf("%s step %d: incremental %v != full-flush %v", c.name, step, a, b)
 			}
 			if inc.DrainedCount() != ref.DrainedCount() {
-				t.Fatalf("seed %d step %d: drained count %d != %d",
-					seed, step, inc.DrainedCount(), ref.DrainedCount())
+				t.Fatalf("%s step %d: drained count %d != %d",
+					c.name, step, inc.DrainedCount(), ref.DrainedCount())
 			}
 		}
+	}
+}
+
+// checkFieldsExact asserts that every distance field r holds is exact for
+// the live usable subgraph: its distances equal a fresh BFS and its tight
+// bitset holds exactly the links topology.ShortestPathLinks visits.
+func checkFieldsExact(t *testing.T, r *Router, ctx string) {
+	t.Helper()
+	occupied := 0
+	for i, e := range r.distCache {
+		if e.dist == nil {
+			continue
+		}
+		occupied++
+		dst := topology.DeviceID(i)
+		if want := r.net.HopDistances(dst, r.Usable); !slices.Equal(e.dist, want) {
+			t.Fatalf("%s: cached field toward device %d = %v, fresh BFS %v", ctx, dst, e.dist, want)
+		}
+		want := make([]uint64, len(e.tight))
+		r.net.ShortestPathLinks(e.dist, r.Usable, func(l *topology.Link) {
+			want[l.ID>>6] |= 1 << (l.ID & 63)
+		})
+		if !slices.Equal(e.tight, want) {
+			t.Fatalf("%s: tight bitset toward device %d = %x, ShortestPathLinks %x", ctx, dst, e.tight, want)
+		}
+	}
+	if occupied != r.fields {
+		t.Fatalf("%s: %d occupied field slots, router counts %d", ctx, occupied, r.fields)
 	}
 }
 
@@ -101,16 +156,16 @@ func TestInvalidateLinkNoOpWhenUsabilityUnchanged(t *testing.T) {
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 200)
 	r.Evaluate(tm)
-	e, nd := r.Epoch(), len(r.distCache)
+	e, nd := r.Epoch(), r.fields
 	if nd == 0 {
 		t.Fatal("no distance fields cached after evaluation")
 	}
 	for _, l := range n.SwitchLinks() {
 		r.InvalidateLink(l.ID)
 	}
-	if r.Epoch() != e || len(r.distCache) != nd {
+	if r.Epoch() != e || r.fields != nd {
 		t.Fatalf("no-op invalidation disturbed the cache: epoch %d->%d, fields %d->%d",
-			e, r.Epoch(), nd, len(r.distCache))
+			e, r.Epoch(), nd, r.fields)
 	}
 }
 
@@ -220,8 +275,7 @@ func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 	// distEntryFor recomputing an evicted field must serve from the
 	// distance free list and the retained BFS queue.
 	if allocs := testing.AllocsPerRun(100, func() {
-		e := r.distCache[d0.Dst]
-		r.evictDist(d0.Dst, e)
+		r.evictDist(d0.Dst)
 		r.distEntryFor(d0.Dst)
 	}); allocs != 0 {
 		t.Fatalf("evict+recompute distEntryFor allocated %.1f/op", allocs)
@@ -234,5 +288,39 @@ func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 		r.freePaths = append(r.freePaths, p)
 	}); allocs != 0 {
 		t.Fatalf("recycled newPath allocated %.1f/op", allocs)
+	}
+}
+
+// The invalidation path allocates nothing once warm: a drain → undrain
+// cycle of a fabric link repairs or recomputes distance fields in place, and
+// refilling the fields the undrain evicted serves from the free list.
+func TestDrainUndrainCycleZeroAlloc(t *testing.T) {
+	net := buildTopo(t, "fattree")
+	r := NewRouter(net, nil)
+	tm := UniformMatrix(net, 700)
+	var ws Workspace
+	r.EvaluateInto(&ws, tm)
+	l := net.SwitchLinks()[0]
+	cycle := func() {
+		r.Drain(l.ID)
+		r.Undrain(l.ID)
+		for _, d := range tm.Demands {
+			r.distEntryFor(d.Dst)
+		}
+	}
+	r.Drain(l.ID)
+	recomputed := 0
+	for _, e := range r.distCache {
+		if e.dist != nil && e.stamp == r.Epoch() {
+			recomputed++
+		}
+	}
+	if recomputed == 0 {
+		t.Fatal("draining the link recomputed no distance field; the cycle would miss the BFS path")
+	}
+	r.Undrain(l.ID)
+	cycle()
+	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
+		t.Fatalf("warm drain/undrain cycle allocated %.1f/op, want 0", allocs)
 	}
 }

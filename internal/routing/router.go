@@ -10,14 +10,22 @@
 // topology studies; packet-level effects enter only through the latency
 // model.
 //
-// Cache maintenance is incremental, with two reverse indexes: every cached
-// BFS distance field records which links it crossed (link→destinations), and
-// every cached path set records which links its paths traverse (link→pairs).
-// A single link state change re-verifies only the fields that could have
-// changed — most survive a loss untouched thanks to ECMP redundancy — and
-// re-enumerates only the path sets that actually used the link; everything
-// else is validated lazily against epoch stamps. Invalidate remains as the
-// full-flush fallback for bulk edits.
+// Route state is stored densely by device and link ID, with no pointers for
+// the garbage collector to scan. Every cached BFS distance field sits in a
+// per-device slot beside a bitset of the links tight toward its destination
+// (on some shortest path), and the destination-rooted path arenas hold int32
+// link IDs. A link leaving the usable subgraph touches only the fields whose
+// bitset holds it, and most of those are settled by an exact O(degree) test:
+// if the link's farther endpoint keeps another next hop, no distance changes.
+// A BFS runs only when that endpoint lost its last one. A link joining the
+// subgraph is resolved from its two endpoint distances per field. Per-pair
+// path sets record the links they traverse (link→pairs) and are evicted
+// exactly; everything else is validated lazily against epoch stamps.
+// Invalidate remains as the full-flush fallback for bulk edits.
+//
+// Traversals — BFS, the tight-link bitsets, destination-rooted builds and
+// the per-pair enumerator — read a usability snapshot, never HealthFn.
+// Only InvalidateLink, Drain, Undrain and Invalidate refresh it.
 package routing
 
 import (
@@ -28,12 +36,22 @@ import (
 
 // HealthFn reports whether a link is physically up (not Down and not being
 // worked on). The fault injector's Observable view supplies this.
+//
+// The router samples it only when refreshing its usability snapshot: in
+// InvalidateLink (and so Drain and Undrain) for one link, and in NewRouter
+// and Invalidate for all of them. Route traversals read the snapshot, so a
+// caller that changes what HealthFn returns must report the change through
+// InvalidateLink, or call Invalidate after a bulk edit.
 type HealthFn func(topology.LinkID) bool
 
-// distEntry is one cached BFS distance field toward a destination, stamped
-// with the cache epoch it was computed under.
+// distEntry is one cached BFS distance field toward a destination, the
+// bitset (indexed by link ID) of the usable links tight toward it — exactly
+// the links whose loss can change the field or its ECMP DAG — and the cache
+// epoch the field was computed under. A zero entry (nil dist) is an empty
+// slot; the field and its bitset are recycled together.
 type distEntry struct {
 	dist  []int
+	tight []uint64
 	stamp uint64
 }
 
@@ -72,38 +90,39 @@ type Router struct {
 	// knob only: results are byte-identical at any setting.
 	Workers int
 
-	cache     map[[2]topology.DeviceID]pathEntry
-	distCache map[topology.DeviceID]distEntry
-	// linkDeps is the reverse index: linkDeps[id] maps each destination
-	// whose cached distance field crossed link id on a shortest path to the
-	// stamp of that field. Entries whose stamp no longer matches the cached
-	// field are stale and skipped; map-overwrite semantics bound the index
-	// at one entry per (link, destination).
-	linkDeps []map[topology.DeviceID]uint64
-	// linkPairs is the finer reverse index: linkPairs[id] lists the cached
-	// path sets whose paths traverse link id. When the link leaves the usable
-	// subgraph, exactly these pairs re-enumerate; every other pair keeps its
-	// paths (ECMP redundancy means most distance fields survive a link loss
-	// unchanged). Stale refs are skipped via the seq check and each list is
-	// reset when its link's down-transition is processed.
+	cache map[[2]topology.DeviceID]pathEntry
+	// distCache holds each destination's distance field and tight-link
+	// bitset, indexed by DeviceID. Every cached field is exact for the
+	// current snapshot: transitions repair or evict fields eagerly, and
+	// only path sets and destination structures go stale lazily. fields
+	// counts the occupied slots: while it is zero (a router never
+	// evaluated, like a fleet region's) transitions skip the slot scan.
+	distCache []distEntry
+	fields    int
+	// linkPairs is the link→pairs reverse index: linkPairs[id] lists the
+	// cached path sets whose paths traverse link id. When the link leaves
+	// the usable subgraph, exactly these pairs re-enumerate; every other
+	// pair keeps its paths (ECMP redundancy means most distance fields
+	// survive a link loss unchanged). Stale refs are skipped via the seq
+	// check and each list is reset when its link's down-transition is
+	// processed.
 	linkPairs [][]pairRef
 	pairSeq   uint64
-	// lastUsable snapshots each link's usability as of the last (in)validation,
-	// so health transitions that do not change usability (e.g. Healthy →
-	// Flapping, which still carries traffic) cost nothing.
+	// lastUsable snapshots each link's usability as of the last (in)validation.
+	// Every traversal reads it, and health transitions that do not change
+	// usability (e.g. Healthy → Flapping, which still carries traffic) cost
+	// nothing.
 	lastUsable []bool
 	// cacheEpoch stamps distance fields and path sets; it advances on every
 	// effective invalidation, so stale entries fail their stamp comparison
 	// instead of needing eager eviction.
 	cacheEpoch uint64
 
-	usableFn    topology.Usable     // cached method value, avoids per-call closure allocs
-	queue       []topology.DeviceID // BFS scratch
-	freeDists   [][]int             // recycled distance fields
-	freePaths   []topology.Path     // recycled path slices
-	linkMark    []uint64            // per-link dedup scratch for pair registration
-	scratchDist []int               // BFS compare scratch for down-transitions
-	ws          Workspace           // Evaluate's internal workspace
+	queue     []topology.DeviceID // BFS scratch
+	freeDists []distEntry         // recycled distance fields with their bitsets
+	freePaths []topology.Path     // recycled path slices
+	linkMark  []uint64            // per-link dedup scratch for pair registration
+	ws        Workspace           // Evaluate's internal workspace
 
 	// Destination-rooted engine state (destroot.go). destCur holds each
 	// destination's current suffix structure; destShelf is a one-slot
@@ -129,8 +148,7 @@ func NewRouter(net *topology.Network, health HealthFn) *Router {
 		drained:    make([]bool, len(net.Links)),
 		MaxPaths:   8,
 		cache:      make(map[[2]topology.DeviceID]pathEntry),
-		distCache:  make(map[topology.DeviceID]distEntry),
-		linkDeps:   make([]map[topology.DeviceID]uint64, len(net.Links)),
+		distCache:  make([]distEntry, len(net.Devices)),
 		linkPairs:  make([][]pairRef, len(net.Links)),
 		lastUsable: make([]bool, len(net.Links)),
 		linkMark:   make([]uint64, len(net.Links)),
@@ -138,7 +156,6 @@ func NewRouter(net *topology.Network, health HealthFn) *Router {
 		destShelf:  make([]*destState, len(net.Devices)),
 		destMark:   make([]uint64, len(net.Devices)),
 	}
-	r.usableFn = r.Usable
 	for i, l := range net.Links {
 		r.lastUsable[i] = r.Usable(l)
 	}
@@ -147,7 +164,9 @@ func NewRouter(net *topology.Network, health HealthFn) *Router {
 }
 
 // Usable reports whether a link carries traffic: physically up and not
-// administratively drained.
+// administratively drained. It evaluates HealthFn live; route traversals
+// instead read the snapshot that InvalidateLink, Drain, Undrain and
+// Invalidate refresh from this method (see HealthFn).
 func (r *Router) Usable(l *topology.Link) bool {
 	if r.drained[l.ID] {
 		return false
@@ -192,16 +211,17 @@ func (r *Router) DrainedCount() int { return r.drainedN }
 // transitions cost nothing.
 func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 
-// InvalidateLink reacts to a state change of one link (flap, drain, undrain,
-// repair), evicting only the cached state the change can affect:
+// InvalidateLink refreshes one link's usability snapshot after a state
+// change (flap, drain, undrain, repair), updating only the cached state the
+// change can affect:
 //
 //   - If the link's usability did not change (a Healthy→Flapping transition,
-//     a drain of an already-down link), nothing is evicted.
-//   - If the link left the usable subgraph, only destinations whose distance
-//     field crossed it on a shortest path (per the reverse index) can change,
-//     and most of those survive unchanged thanks to ECMP redundancy — their
-//     fields are verified in place and only the path sets that actually
-//     traversed the link (per the link→pairs index) re-enumerate.
+//     a drain of an already-down link), nothing is touched.
+//   - If the link left the usable subgraph, only destinations whose tight
+//     bitset holds it can change. An O(degree) test proves most of those
+//     fields unchanged (ECMP redundancy); the rest are recomputed. Only the
+//     path sets that actually traversed the link (per the link→pairs index)
+//     re-enumerate.
 //   - If the link joined the subgraph, a destination's field changes only if
 //     the link bridges devices the field ranks ≥2 apart (an edge between
 //     equidistant devices can never lie on a shortest path; one bridging a
@@ -209,8 +229,8 @@ func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 //     edge may still join the ECMP DAG, so the pairs it would serve — decided
 //     in O(1) from the two endpoint fields — are evicted exactly.
 //
-// Evicting a distance field implicitly invalidates its dependent path sets
-// via the epoch stamp; they are re-enumerated on next use.
+// A field recomputed under a new stamp or evicted implicitly invalidates its
+// dependent path sets; they are re-enumerated on next use.
 func (r *Router) InvalidateLink(id topology.LinkID) {
 	l := r.net.Links[id]
 	u := r.Usable(l)
@@ -221,44 +241,45 @@ func (r *Router) InvalidateLink(id topology.LinkID) {
 	r.subgraphSig ^= destLinkSig(id) // toggle the link in/out of the Zobrist hash
 	r.cacheEpoch++
 	if !u {
-		r.linkDown(id)
+		r.linkDown(l)
 	} else {
-		r.linkUp(id, l.A.Device.ID, l.B.Device.ID)
+		r.linkUp(l)
 	}
 }
 
-// linkDown handles link id leaving the usable subgraph. Each distance field
-// that recorded the link as tight is recomputed and compared: an unchanged
-// field keeps its stamp (so its path sets stay valid), a changed one is
-// swapped in under a fresh stamp. Path sets that traversed the link are
-// evicted exactly, via the link→pairs index.
-func (r *Router) linkDown(id topology.LinkID) {
-	deps := r.linkDeps[id]
-	//lint:allow mapiter per-destination re-verification; cache updates are keyed and buffer recycling order is unobservable
-	for dst, stamp := range deps {
-		e, ok := r.distCache[dst]
-		if !ok || e.stamp != stamp {
-			continue // stale registration; the field was already replaced
+// linkDown handles link l leaving the usable subgraph. Destinations are
+// visited in ascending ID order; each field holding l as tight shelves its
+// destination-rooted structure (its DAG lost an edge) and then either keeps
+// its distances and stamp — dropping only l's tight bit — or, when l's
+// farther endpoint lost its last next hop, is recomputed in place under a
+// fresh stamp. Path sets that traversed l are evicted exactly, via the
+// link→pairs index.
+//
+//selfmaint:hotpath
+func (r *Router) linkDown(l *topology.Link) {
+	id, a, b := l.ID, l.A.Device.ID, l.B.Device.ID
+	for i := 0; r.fields > 0 && i < len(r.distCache); i++ {
+		e := &r.distCache[i]
+		if e.dist == nil || e.tight[id>>6]&(1<<(id&63)) == 0 {
+			continue
 		}
+		dst := topology.DeviceID(i)
 		// The link was tight toward dst, so dst's ECMP DAG lost an edge even
 		// when the distances below survive: shelve the destination-rooted
 		// structure (an undrain restores it via the subgraph signature).
 		r.shelveDest(dst)
-		if cap(r.scratchDist) < len(r.net.Devices) {
-			r.scratchDist = make([]int, len(r.net.Devices))
+		far := a
+		if e.dist[b] > e.dist[a] {
+			far = b
 		}
-		nd := r.scratchDist[:len(r.net.Devices)]
-		r.queue = r.net.HopDistancesInto(dst, r.usableFn, nd, r.queue)
-		if intsEqual(nd, e.dist) {
-			continue // redundancy absorbed the loss: field, stamp and deps stand
+		if r.keepsNextHop(e.dist, far) {
+			e.tight[id>>6] &^= 1 << (id & 63) // distances and stamp stand
+			continue
 		}
-		// Distances changed: install the freshly computed field under a new
-		// stamp; dependent path sets go stale lazily via the stamp check.
-		r.scratchDist = e.dist
-		r.distCache[dst] = distEntry{dist: nd, stamp: r.cacheEpoch}
-		r.recordDeps(dst, nd, r.cacheEpoch)
+		// far's distance grows, so the field changes: recompute it in place
+		// under a new stamp; dependent path sets go stale via the stamp check.
+		r.computeField(dst, e)
 	}
-	clear(deps)
 	for _, ref := range r.linkPairs[id] {
 		if pe, ok := r.cache[ref.key]; ok && pe.seq == ref.seq {
 			r.evictPair(ref.key, pe)
@@ -267,43 +288,61 @@ func (r *Router) linkDown(id topology.LinkID) {
 	r.linkPairs[id] = r.linkPairs[id][:0]
 }
 
-// linkUp handles the link a↔b joining the usable subgraph. Fields ranking
+// keepsNextHop reports whether device u still has a usable neighbour one hop
+// closer to the destination of field dist. It is the exact survival test for
+// the loss of a link tight toward that destination: only the link's farther
+// endpoint u descended over it, so if u keeps a next hop every device keeps
+// one and, by induction on distance, no distance changes. If u has none, its
+// distance grows.
+//
+//selfmaint:hotpath
+func (r *Router) keepsNextHop(dist []int, u topology.DeviceID) bool {
+	for _, np := range r.net.Neighbors(u) {
+		if r.lastUsable[np.Link.ID] && dist[np.Peer.ID] == dist[u]-1 {
+			return true
+		}
+	}
+	return false
+}
+
+// linkUp handles link l (a↔b) joining the usable subgraph. Fields ranking
 // the endpoints equal are untouched; fields ranking them ≥2 apart (or one
 // side unreachable) shorten and are evicted. Fields ranking them exactly one
-// apart keep their distances but gain a DAG edge: the pair scan evicts
-// precisely the (src,dst) sets for which some shortest path now crosses the
-// new edge — src reaches one endpoint, the hop descends toward dst, and the
-// combined length matches the cached src→dst distance.
-func (r *Router) linkUp(id topology.LinkID, a, b topology.DeviceID) {
-	//lint:allow mapiter keyed evictions and dep registrations; free-list order is unobservable
-	for dst, e := range r.distCache {
+// apart keep their distances but gain a DAG edge: the link joins their tight
+// bitset, and the pair scan evicts precisely the (src,dst) sets for which
+// some shortest path now crosses the new edge — src reaches one endpoint,
+// the hop descends toward dst, and the combined length matches the cached
+// src→dst distance.
+//
+//selfmaint:hotpath
+func (r *Router) linkUp(l *topology.Link) {
+	id, a, b := l.ID, l.A.Device.ID, l.B.Device.ID
+	for i := 0; r.fields > 0 && i < len(r.distCache); i++ {
+		e := &r.distCache[i]
+		if e.dist == nil {
+			continue
+		}
 		da, db := e.dist[a], e.dist[b]
 		if da == db {
 			continue // equidistant (or both unreachable): never on a shortest path
 		}
+		// The destination's DAG gains an edge (or its field shortens), so
+		// its suffix structure retires to the shelf (an undrain round trip
+		// restores the pre-drain one).
+		dst := topology.DeviceID(i)
+		r.shelveDest(dst)
 		if da < 0 || db < 0 || da-db > 1 || db-da > 1 {
-			r.shelveDest(dst)
-			r.evictDist(dst, e) // the link shortens or newly connects routes to dst
+			r.evictDist(dst) // the link shortens or newly connects routes to dst
 			continue
 		}
-		// |da-db| == 1: distances survive, but the link is now tight toward
-		// dst — register it so a future down-transition re-verifies this
-		// field, and let the pair scan below handle the DAG change. The
-		// destination's DAG gained an edge, so its suffix structure retires
-		// to the shelf (an undrain round trip restores the pre-drain one).
-		r.shelveDest(dst)
-		deps := r.linkDeps[id]
-		if deps == nil {
-			deps = make(map[topology.DeviceID]uint64)
-			r.linkDeps[id] = deps
-		}
-		deps[dst] = e.stamp
+		// |da-db| == 1: distances survive and the link is now tight toward
+		// dst; the pair scan below handles the DAG change.
+		e.tight[id>>6] |= 1 << (id & 63)
 	}
 	//lint:allow mapiter keyed pair evictions; free-list order is unobservable
 	for key, pe := range r.cache {
-		dst := key[1]
-		de, ok := r.distCache[dst]
-		if !ok || de.stamp != pe.stamp {
+		de := &r.distCache[key[1]]
+		if de.dist == nil || de.stamp != pe.stamp {
 			continue // already stale; re-enumerates on next use
 		}
 		x, y := a, b
@@ -318,8 +357,8 @@ func (r *Router) linkUp(id topology.LinkID, a, b topology.DeviceID) {
 		if t < 0 {
 			continue // still unreachable: surviving fields are exact
 		}
-		se, ok := r.distCache[key[0]]
-		if !ok {
+		se := &r.distCache[key[0]]
+		if se.dist == nil {
 			// No field for the source end, so we cannot prove the new edge
 			// lies off every shortest path; evict conservatively.
 			r.evictPair(key, pe)
@@ -331,9 +370,11 @@ func (r *Router) linkUp(id topology.LinkID, a, b topology.DeviceID) {
 	}
 }
 
-func (r *Router) evictDist(dst topology.DeviceID, e distEntry) {
-	delete(r.distCache, dst)
-	r.freeDists = append(r.freeDists, e.dist)
+// evictDist empties dst's slot, recycling its field and bitset.
+func (r *Router) evictDist(dst topology.DeviceID) {
+	r.freeDists = append(r.freeDists, r.distCache[dst])
+	r.distCache[dst] = distEntry{}
+	r.fields--
 }
 
 func (r *Router) evictPair(key [2]topology.DeviceID, pe pathEntry) {
@@ -341,22 +382,12 @@ func (r *Router) evictPair(key [2]topology.DeviceID, pe pathEntry) {
 	r.freePaths = append(r.freePaths, pe.paths...)
 }
 
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, v := range a {
-		if v != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Invalidate flushes every cached distance field and path set — the
-// fallback for bulk topology edits or direct health-map mutation outside
-// the per-link notification path. Single-link transitions should use
-// InvalidateLink instead.
+// Invalidate flushes every cached distance field and path set and refreshes
+// the whole usability snapshot from HealthFn — the fallback for bulk
+// topology edits, and the call a caller owes the router after changing
+// health without reporting each link through InvalidateLink: until then,
+// traversals keep routing over the old snapshot. Single-link transitions
+// should use InvalidateLink instead.
 func (r *Router) Invalidate() {
 	r.cacheEpoch++
 	//lint:allow mapiter full flush; free-list recycling order is unobservable (buffers are overwritten before reuse)
@@ -364,13 +395,10 @@ func (r *Router) Invalidate() {
 		r.freePaths = append(r.freePaths, pe.paths...)
 	}
 	clear(r.cache)
-	//lint:allow mapiter full flush; free-list recycling order is unobservable (buffers are overwritten before reuse)
-	for _, e := range r.distCache {
-		r.freeDists = append(r.freeDists, e.dist)
-	}
-	clear(r.distCache)
-	for _, deps := range r.linkDeps {
-		clear(deps)
+	for dst := range r.distCache {
+		if r.distCache[dst].dist != nil {
+			r.evictDist(topology.DeviceID(dst))
+		}
 	}
 	for i := range r.linkPairs {
 		r.linkPairs[i] = r.linkPairs[i][:0]
@@ -386,42 +414,68 @@ func (r *Router) Invalidate() {
 }
 
 // distEntryFor returns the cached BFS distance field toward dst, computing
-// and indexing it if absent. Caching per destination is what makes
+// it and its tight bitset if absent. Caching per destination is what makes
 // evaluating thousands of demands cheap: one BFS serves every source.
 //
 //selfmaint:hotpath
 func (r *Router) distEntryFor(dst topology.DeviceID) distEntry {
-	if e, ok := r.distCache[dst]; ok {
+	if e := r.distCache[dst]; e.dist != nil {
 		return e
 	}
-	var d []int
+	var e distEntry
 	if n := len(r.freeDists); n > 0 {
-		d = r.freeDists[n-1]
-		r.freeDists[n-1] = nil
+		e = r.freeDists[n-1]
+		r.freeDists[n-1] = distEntry{}
 		r.freeDists = r.freeDists[:n-1]
 	} else {
 		//lint:allow hotpathalloc free-list miss; the field is cached and recycled, steady state reuses buffers
-		d = make([]int, len(r.net.Devices))
+		e.dist = make([]int, len(r.net.Devices))
+		//lint:allow hotpathalloc free-list miss; the bitset is recycled with its field
+		e.tight = make([]uint64, (len(r.net.Links)+63)/64)
 	}
-	r.queue = r.net.HopDistancesInto(dst, r.usableFn, d, r.queue)
-	e := distEntry{dist: d, stamp: r.cacheEpoch}
+	r.computeField(dst, &e)
 	r.distCache[dst] = e
-	r.recordDeps(dst, d, e.stamp)
+	r.fields++
 	return e
 }
 
-// recordDeps registers which usable links the field depends on: exactly the
-// links on some shortest path toward dst. Any other link's state change
-// leaves both the distances and the ECMP DAG untouched.
-func (r *Router) recordDeps(dst topology.DeviceID, d []int, stamp uint64) {
-	r.net.ShortestPathLinks(d, r.usableFn, func(l *topology.Link) {
-		deps := r.linkDeps[l.ID]
-		if deps == nil {
-			deps = make(map[topology.DeviceID]uint64)
-			r.linkDeps[l.ID] = deps
+// computeField rewrites e as the field toward dst over the usability
+// snapshot, stamped with the current epoch: BFS distances (-1 unreachable)
+// and, in the same pass, the tight bitset — exactly the usable links on some
+// shortest path toward dst, the set topology.ShortestPathLinks visits. A
+// link outside the bitset can change state without changing the distances
+// or the ECMP DAG. When a device is dequeued, every neighbour one hop closer
+// already has its final distance, so each tight link is recorded once, from
+// its farther endpoint.
+//
+//selfmaint:hotpath
+func (r *Router) computeField(dst topology.DeviceID, e *distEntry) {
+	dist := e.dist
+	for i := range dist {
+		dist[i] = -1
+	}
+	clear(e.tight)
+	dist[dst] = 0
+	q := append(r.queue[:0], dst)
+	for h := 0; h < len(q); h++ {
+		d := q[h]
+		k := dist[d]
+		for _, np := range r.net.Neighbors(d) {
+			id := np.Link.ID
+			if !r.lastUsable[id] {
+				continue
+			}
+			if p := np.Peer.ID; dist[p] < 0 {
+				dist[p] = k + 1
+				//lint:allow hotpathalloc BFS queue growth on first use; the backing array is retained on the router
+				q = append(q, p)
+			} else if dist[p] == k-1 {
+				e.tight[id>>6] |= 1 << (id & 63)
+			}
 		}
-		deps[dst] = stamp
-	})
+	}
+	r.queue = q
+	e.stamp = r.cacheEpoch
 }
 
 // paths returns cached equal-cost shortest paths for a pair, enumerated
@@ -456,7 +510,7 @@ func (r *Router) paths(src, dst topology.DeviceID) []topology.Path {
 				return
 			}
 			for _, np := range r.net.Neighbors(d) {
-				if !r.Usable(np.Link) {
+				if !r.lastUsable[np.Link.ID] {
 					continue
 				}
 				if pd := dist[np.Peer.ID]; pd >= 0 && pd == dist[d]-1 {
@@ -537,10 +591,10 @@ func (a Assessment) String() string {
 }
 
 // routed is one demand's routing decision within an evaluation. The engine
-// path records the arena-backed span (block of n suffixes, plen links each);
-// the reference enumerator records the per-pair path list.
+// path records the arena-backed span (block of n suffixes, plen link IDs
+// each); the reference enumerator records the per-pair path list.
 type routed struct {
-	block   []*topology.Link
+	block   []int32
 	n, plen int
 	paths   []topology.Path
 	share   float64
@@ -630,7 +684,7 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 		ws.routes[i] = routed{block: blk, n: n, plen: plen, share: share}
 		for p := 0; p < len(blk); p += plen {
 			for _, l := range blk[p : p+plen] {
-				as.LinkLoad[l.ID] += share
+				as.LinkLoad[l] += share
 			}
 		}
 	}
@@ -657,8 +711,8 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 		for p := 0; p < len(rt.block); p += rt.plen {
 			worst := 1.0
 			for _, l := range rt.block[p : p+rt.plen] {
-				if ws.over[l.ID] > worst {
-					worst = ws.over[l.ID]
+				if ws.over[l] > worst {
+					worst = ws.over[l]
 				}
 			}
 			achieved += rt.share / worst

@@ -26,21 +26,11 @@ func (n *Network) usableAdj(d DeviceID, ok Usable) []LinkPeer {
 // links; unreachable devices get -1.
 func (n *Network) HopDistances(src DeviceID, ok Usable) []int {
 	dist := make([]int, len(n.Devices))
-	n.HopDistancesInto(src, ok, dist, nil)
-	return dist
-}
-
-// HopDistancesInto is HopDistances into caller-owned buffers: dist must have
-// one slot per device and is fully overwritten; queue is BFS scratch whose
-// backing array is reused and returned. Unlike HopDistances it performs no
-// allocations (beyond growing queue on first use), which is what lets the
-// routing layer recompute distance fields from a pool on the fault hot path.
-func (n *Network) HopDistancesInto(src DeviceID, ok Usable, dist []int, queue []DeviceID) []DeviceID {
 	for i := range dist {
 		dist[i] = -1
 	}
 	dist[src] = 0
-	queue = append(queue[:0], src)
+	queue := []DeviceID{src}
 	for head := 0; head < len(queue); head++ {
 		d := queue[head]
 		for _, e := range n.adj[d] {
@@ -54,15 +44,16 @@ func (n *Network) HopDistancesInto(src DeviceID, ok Usable, dist []int, queue []
 			}
 		}
 	}
-	return queue
+	return dist
 }
 
 // ShortestPathLinks visits every usable link that lies on some shortest path
 // toward the destination whose BFS field is dist — exactly the links whose
 // state change can alter dist or the ECMP DAG built over it. A usable link is
 // on a shortest path iff both endpoints are reachable and their distances
-// differ by one ("tight" w.r.t. dist). Routing records these as the reverse
-// dependency index for incremental cache invalidation.
+// differ by one ("tight" w.r.t. dist). Routing keeps the same set as a
+// bitset beside each cached field, and its tests check the bitset against
+// this function.
 func (n *Network) ShortestPathLinks(dist []int, ok Usable, visit func(*Link)) {
 	for _, l := range n.Links {
 		if ok != nil && !ok(l) {
