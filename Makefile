@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint fmt fmt-check bench bench-quick bench-diff cp-smoke experiments-quick shard-diff replay-diff ci
+.PHONY: all build test race vet lint fmt fmt-check bench bench-quick bench-diff bench-check cp-smoke experiments-quick shard-diff replay-diff ci
 
 all: build
 
@@ -53,6 +53,14 @@ bench-diff:
 	$(GO) run ./cmd/selfmaintlint -factcache .cache/selfmaintlint -bench-json "$$tmp/bench.json" ./... && \
 	$(GO) run ./cmd/cpload -watchers 1000 -steps 30 -queue-cap 64 -heap-mb 128 -bench-json "$$tmp/bench.json" > /dev/null && \
 	$(GO) run ./cmd/benchdiff BENCH_experiments.json "$$tmp/bench.json"
+
+# Bit-exactness gate against committed results: the benchmark module's own
+# tests, then every benchmark workload run untraced and traced for one
+# second each, every op's digest compared with bench/expected.json (exit 1
+# on a correctness violation or a differing digest).
+bench-check:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh -check -seconds 1 > /dev/null
 
 # Control-plane load smoke: 1k concurrent watchers against a live paced sim
 # over an in-memory transport. cpload exits nonzero when the flight

@@ -337,8 +337,9 @@ func BenchmarkRouterDrainBurst(b *testing.B) {
 // the F4 xpander build — the maintindex probe that dominated the quick
 // suite before the destination-rooted engine. Sub-benchmarks cover the cold
 // path (every destination rebuilt), the maintindex-style drain/undrain
-// sweep step (shelved structures restore via the subgraph signature), and
-// the warm steady state (zero allocations).
+// sweep step (shelved structures restore via the subgraph signature), the
+// warm steady state (zero allocations), and the cold path on a fat-tree
+// k=12 at 1,000 Gbps — hall-large's daily availability sample.
 func BenchmarkUniformEvaluate(b *testing.B) {
 	net, err := topology.NewXpander(topology.XpanderConfig{
 		Degree: 9, Lift: 2, HostsPerSwitch: 8,
@@ -356,16 +357,7 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 		}
 	}
 	tm := routing.UniformMatrix(net, offered)
-	b.Run("cold", func(b *testing.B) {
-		r := routing.NewRouter(net, nil)
-		var ws routing.Workspace
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			r.Invalidate()
-			_ = r.EvaluateInto(&ws, tm)
-		}
-	})
+	b.Run("cold", func(b *testing.B) { benchCold(b, net, tm) })
 	b.Run("drain-sweep-step", func(b *testing.B) {
 		r := routing.NewRouter(net, nil)
 		var ws routing.Workspace
@@ -390,6 +382,42 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 			_ = r.EvaluateInto(&ws, tm)
 		}
 	})
+	b.Run("cold-fattree-k12", func(b *testing.B) {
+		ft, err := topology.NewFatTree(topology.DefaultFatTree(12))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchCold(b, ft, routing.UniformMatrix(ft, 1000))
+	})
+}
+
+// benchCold evaluates tm with every destination rebuilt on recycled arenas.
+// Each iteration moves one drain around three host links (drain the next,
+// undrain the previous): a host link is tight toward every destination, so
+// every structure is displaced, and with three links no subgraph recurs
+// while the one-slot shelf still holds it — nothing is restored.
+func benchCold(b *testing.B, net *topology.Network, tm routing.TrafficMatrix) {
+	hosts := net.Hosts()
+	var ring [3]topology.LinkID
+	for i := range ring {
+		ring[i] = hosts[i].Ports[0].Link.ID
+	}
+	r := routing.NewRouter(net, nil)
+	var ws routing.Workspace
+	move := func(i int) {
+		r.Drain(ring[(i+1)%3])
+		r.Undrain(ring[i%3])
+		_ = r.EvaluateInto(&ws, tm)
+	}
+	r.Drain(ring[0])
+	for i := 0; i < 3; i++ {
+		move(i) // fill the shelf and the free lists
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		move(i)
+	}
 }
 
 // BenchmarkTopologyBuild measures fabric construction.

@@ -29,6 +29,9 @@ make shard-diff
 echo "== replay-diff (flight recorder: record == replay, diff finds divergence)"
 make replay-diff
 
+echo "== bench-check (benchmark workloads: digests match bench/expected.json)"
+make bench-check
+
 echo "== cp-smoke (1k stream watchers: bounded heap, byte-identical transcript)"
 make cp-smoke
 

@@ -1,28 +1,31 @@
 // Destination-rooted ECMP evaluation: the engine behind EvaluateInto.
 //
-// The per-pair enumerator (paths, kept as the reference implementation and
-// for single-pair consumers like the latency model) re-runs a recursive DFS
+// The per-pair enumerator (paths, kept for single-pair consumers like the
+// latency model and as the tests' executable spec) re-runs a recursive DFS
 // over the ECMP DAG for every (src,dst) demand and allocates every path as
-// its own slice. Under full uniform injection that is O(sources) DFS walks
-// per destination and millions of small allocations per assessment — the F4
-// bottleneck.
+// its own slice: under full uniform injection, O(sources) DFS walks per
+// destination and millions of small allocations per assessment.
 //
 // The destination-rooted engine serves all sources of one destination off a
-// single shared structure: for each destination it memoizes, per device, the
-// list of path suffixes from that device to the destination over the ECMP
-// DAG. Devices are processed in ascending BFS distance, so every suffix is
-// one link prepended to an already-materialized suffix of the next hop.
-// Enumeration follows the exact adjacency order the per-pair DFS uses, and
-// each device's suffix list is capped at MaxPaths — which preserves the
-// per-pair path lists bit-for-bit: the first MaxPaths paths of the DFS
-// concatenation consume at most the first MaxPaths suffixes of each
-// downstream device, so truncating suffix lists at MaxPaths loses nothing
-// (see TestDestRootedMatchesPerPairEnumerator).
+// single shared structure: for each destination it records, per device, the
+// number and length of the device's shortest-path suffixes to the
+// destination over the ECMP DAG, and materializes the suffixes of transit
+// devices — the next hops some device draws suffixes from. Devices are
+// processed in ascending BFS distance, so every suffix is one link
+// prepended to an already-materialized suffix of the next hop. Enumeration
+// follows the exact adjacency order the per-pair DFS uses, and each
+// device's suffix list is capped at MaxPaths — which preserves the per-pair
+// path lists bit-for-bit: the first MaxPaths paths of the DFS concatenation
+// consume at most the first MaxPaths suffixes of each downstream device
+// (see TestDestRootedMatchesPerPairEnumerator). A source's own paths are
+// never stored: EvaluateInto reads them as segments, a first-hop link
+// followed by a run of a next hop's suffixes, so a device nothing descends
+// through (in every studied fabric, a host) takes no arena space.
 //
 // All suffixes of one destination live in a single flat arena of int32 link
-// IDs (per-device offset spans) instead of individually allocated path
-// slices, so a warm evaluation allocates nothing, a rebuild reuses the
-// retained arena, and the garbage collector has no pointers to scan in it.
+// IDs (per-device offset spans), so a warm evaluation allocates nothing, a
+// rebuild reuses the retained arena, and the garbage collector has no
+// pointers to scan in it.
 //
 // Incremental maintenance extends the router's per-link invalidation: a
 // link transition that can change a destination's DAG shelves that
@@ -34,10 +37,11 @@
 //
 // Rebuilds are independent per destination (pure functions of the distance
 // field, adjacency order and the usable set), so they shard across Workers
-// goroutines; worker count is a throughput knob, never a results knob. The
-// demand-order accumulation loops in EvaluateInto are untouched, so every
-// float summation order — and therefore the Assessment — is byte-identical
-// to the per-pair enumerator at any worker count.
+// goroutines; worker count is a throughput knob, never a results knob.
+// EvaluateInto adds to every link, in demand order, exactly the values the
+// per-pair paths would, so every float summation order — and therefore the
+// Assessment — is byte-identical to the per-pair enumerator at any worker
+// count.
 package routing
 
 import (
@@ -46,12 +50,11 @@ import (
 	"repro/internal/topology"
 )
 
-// destState is the destination-rooted ECMP structure for one destination:
-// for every device, the device's shortest-path suffixes toward the
-// destination, laid out contiguously in one arena of link IDs. Device d's
-// suffixes are count[d] runs of plen[d] links each, starting at
-// arena[start[d]]; plen[d] is d's BFS distance to the destination at build
-// time.
+// destState is the destination-rooted ECMP structure for one destination.
+// Device d has count[d] shortest-path suffixes toward the destination, of
+// plen[d] links each (its BFS distance at build time). A transit device's
+// suffixes are materialized contiguously in one arena of link IDs, starting
+// at arena[start[d]]; any other device's start is meaningless.
 type destState struct {
 	stamp uint64 // distance-field stamp the structure was built over
 	sig   uint64 // subgraph signature at build time (see subgraphSig)
@@ -70,18 +73,20 @@ type buildJob struct {
 }
 
 // destBuilder is per-worker scratch for buildDest: the counting-sort
-// buffers that order devices by ascending BFS distance.
+// buffers that order devices by ascending BFS distance, and the transit
+// marks (devices some other device draws suffixes from).
 type destBuilder struct {
-	order  []topology.DeviceID
-	bucket []int32
+	order   []topology.DeviceID
+	bucket  []int32
+	transit []bool
 }
 
-// growInt32 returns s with length n and all elements zero, reusing the
-// backing array when capacity allows.
-func growInt32(s []int32, n int) []int32 {
+// grow returns s with length n and all elements zero, reusing the backing
+// array when capacity allows.
+func grow[T int32 | float64 | bool](s []T, n int) []T {
 	if cap(s) < n {
-		//lint:allow hotpathalloc amortized doubling of a reused scratch buffer; steady state never re-enters
-		return make([]int32, n)
+		//lint:allow hotpathalloc a reused scratch buffer grows only when the fabric or matrix does; steady state never re-enters
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -255,9 +260,11 @@ func (r *Router) builderFor(w int) *destBuilder {
 //selfmaint:hotpath
 func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID, e distEntry) {
 	nd := len(r.net.Devices)
-	ds.start = growInt32(ds.start, nd)
-	ds.count = growInt32(ds.count, nd)
-	ds.plen = growInt32(ds.plen, nd)
+	ds.start = grow(ds.start, nd)
+	ds.count = grow(ds.count, nd)
+	ds.plen = grow(ds.plen, nd)
+	transit := grow(b.transit, nd)
+	b.transit = transit
 	dist := e.dist
 	maxd, reach := 0, 0
 	for _, dd := range dist {
@@ -269,7 +276,7 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 		}
 	}
 	// Counting sort of reachable devices by distance.
-	b.bucket = growInt32(b.bucket, maxd+1)
+	b.bucket = grow(b.bucket, maxd+1)
 	for _, dd := range dist {
 		if dd >= 0 {
 			b.bucket[dd]++
@@ -293,10 +300,10 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 		}
 	}
 
-	// First pass: every device's suffix count and span, so the arena is
-	// sized exactly once. Each device's count is its next hops' counts
-	// summed in adjacency order and capped at MaxPaths — exactly the
-	// suffixes the second pass materializes.
+	// First pass: every device's suffix count — its next hops' counts summed
+	// in adjacency order and capped at MaxPaths — and the transit marks on
+	// the next hops it draws from. Only transit suffixes are materialized,
+	// so the arena is sized by them, exactly once.
 	mp := int32(r.MaxPaths)
 	total := int32(0)
 	for _, d := range order {
@@ -310,22 +317,32 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 			if cnt >= mp {
 				break
 			}
-			if r.lastUsable[np.Link.ID] && int32(dist[np.Peer.ID]) == k-1 {
-				cnt = min(mp, cnt+ds.count[np.Peer.ID])
+			p := np.Peer.ID
+			if !r.lastUsable[np.Link.ID] || int32(dist[p]) != k-1 {
+				continue
+			}
+			cnt = min(mp, cnt+ds.count[p])
+			if !transit[p] {
+				transit[p] = true
+				total += ds.count[p] * ds.plen[p]
 			}
 		}
-		ds.start[d], ds.count[d], ds.plen[d] = total, cnt, k
-		total += cnt * k
+		ds.count[d], ds.plen[d] = cnt, k
 	}
 	if cap(ds.arena) < int(total) {
 		//lint:allow hotpathalloc arena growth; the backing array is retained on the destState and reused across rebuilds
 		ds.arena = make([]int32, total)
 	}
 	arena := ds.arena[:total]
-	// Second pass: each suffix is one link prepended to a next hop's
-	// already-written suffix.
+	// Second pass: each transit suffix is one link prepended to a next hop's
+	// already-written suffix (every next hop drawn from is itself transit).
+	w := int32(0)
 	for _, d := range order {
-		k, w, left := ds.plen[d], ds.start[d], ds.count[d]
+		if !transit[d] {
+			continue
+		}
+		k, left := ds.plen[d], ds.count[d]
+		ds.start[d] = w
 		if k == 0 {
 			continue // the destination's empty suffix takes no space
 		}

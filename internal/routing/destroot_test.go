@@ -46,11 +46,86 @@ func buildTopo(t *testing.T, kind string) *topology.Network {
 	return n
 }
 
+// referenceEvaluate is the executable specification of EvaluateInto: every
+// demand is resolved through the per-pair enumerator and split evenly over
+// its paths, and each path carries its share divided by the worst overload
+// factor among all of its links.
+func referenceEvaluate(r *Router, tm TrafficMatrix) Assessment {
+	as := Assessment{
+		PerDemand: make([]float64, len(tm.Demands)),
+		LinkLoad:  make([]float64, len(r.net.Links)),
+	}
+	paths := make([][]topology.Path, len(tm.Demands))
+	for i, d := range tm.Demands {
+		as.OfferedGbps += d.Gbps
+		paths[i] = r.paths(d.Src, d.Dst)
+		if len(paths[i]) == 0 {
+			as.Unreachable++
+			continue
+		}
+		share := d.Gbps / float64(len(paths[i]))
+		for _, p := range paths[i] {
+			for _, l := range p {
+				as.LinkLoad[l.ID] += share
+			}
+		}
+	}
+	over := make([]float64, len(r.net.Links))
+	for id, load := range as.LinkLoad {
+		if c := r.net.Links[id].GbpsCap; c > 0 {
+			u := load / c
+			if u > as.MaxUtil {
+				as.MaxUtil = u
+			}
+			if u > 1 {
+				over[id] = u
+			}
+		}
+	}
+	for i, d := range tm.Demands {
+		if len(paths[i]) == 0 {
+			continue
+		}
+		share := d.Gbps / float64(len(paths[i]))
+		achieved := 0.0
+		for _, p := range paths[i] {
+			worst := 1.0
+			for _, l := range p {
+				if over[l.ID] > worst {
+					worst = over[l.ID]
+				}
+			}
+			achieved += share / worst
+		}
+		as.SatisfiedGbps += achieved
+		as.PerDemand[i] = achieved / d.Gbps
+	}
+	return as
+}
+
+// hostInjection is the fabric's full host injection rate: the summed
+// capacity of every host link.
+func hostInjection(net *topology.Network) float64 {
+	var total float64
+	for _, h := range net.Hosts() {
+		for _, p := range h.Ports {
+			if p.Link != nil {
+				total += p.Link.GbpsCap
+			}
+		}
+	}
+	return total
+}
+
 // Differential property pinning the destination-rooted engine to its
 // executable specification: across topology families × randomized
-// drain/fault/repair sequences × seeds, an incrementally maintained engine
-// router at every worker count produces Assessments byte-identical to the
-// per-pair enumerator on a router that full-flushes after every change.
+// drain/fault/repair sequences over every link (host links included, so
+// sources lose uplinks and become unreachable) × seeds × three loads, an
+// incrementally maintained engine router at every worker count produces
+// Assessments byte-identical to referenceEvaluate on a router that
+// full-flushes after every change. 700 Gbps never overloads a link; full
+// and twice-full host injection do, so both branches of the satisfaction
+// pass and the bottleneck scan's first hop are pinned.
 func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
 	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander"} {
@@ -65,12 +140,11 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 				engines[i] = NewRouter(net, health)
 				engines[i].Workers = w
 			}
-			var refWS Workspace
-			tm := UniformMatrix(net, 700)
-			fabric := net.SwitchLinks()
+			full := hostInjection(net)
+			tms := []TrafficMatrix{UniformMatrix(net, 700), UniformMatrix(net, full), UniformMatrix(net, 2*full)}
 			rng := rand.New(rand.NewPCG(seed, 0xd357))
 			for step := 0; step < 20; step++ {
-				l := fabric[rng.IntN(len(fabric))]
+				l := net.Links[rng.IntN(len(net.Links))]
 				switch rng.IntN(4) {
 				case 0: // fault onset or flap-down
 					down[l.ID] = true
@@ -92,12 +166,14 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 					e.InvalidateLink(l.ID)
 				}
 				ref.Invalidate() // the reference always full-flushes
-				want := ref.referenceEvaluateInto(&refWS, tm)
-				for i, e := range engines {
-					got := e.EvaluateInto(&wss[i], tm)
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s seed %d step %d workers=%d: engine %v != per-pair reference %v",
-							kind, seed, step, workerCounts[i], got, want)
+				for _, tm := range tms {
+					want := referenceEvaluate(ref, tm)
+					for i, e := range engines {
+						got := e.EvaluateInto(&wss[i], tm)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s seed %d step %d %.0f Gbps workers=%d: engine %v != per-pair reference %v",
+								kind, seed, step, tm.TotalGbps(), workerCounts[i], got, want)
+						}
 					}
 				}
 			}

@@ -13,15 +13,17 @@
 // Route state is stored densely by device and link ID, with no pointers for
 // the garbage collector to scan. Every cached BFS distance field sits in a
 // per-device slot beside a bitset of the links tight toward its destination
-// (on some shortest path), and the destination-rooted path arenas hold int32
-// link IDs. A link leaving the usable subgraph touches only the fields whose
-// bitset holds it, and most of those are settled by an exact O(degree) test:
-// if the link's farther endpoint keeps another next hop, no distance changes.
-// A BFS runs only when that endpoint lost its last one. A link joining the
-// subgraph is resolved from its two endpoint distances per field. Per-pair
-// path sets record the links they traverse (link→pairs) and are evicted
-// exactly; everything else is validated lazily against epoch stamps.
-// Invalidate remains as the full-flush fallback for bulk edits.
+// (on some shortest path), and the destination-rooted arenas hold the int32
+// link IDs of transit devices' path suffixes, which EvaluateInto reads as
+// first-hop + suffix segments. A link leaving the usable subgraph touches
+// only the fields whose bitset holds it, and most of those are settled by
+// an exact O(degree) test: if the link's farther endpoint keeps another
+// next hop, no distance changes. A BFS runs only when that endpoint lost
+// its last one. A link joining the subgraph is resolved from its two
+// endpoint distances per field. Per-pair path sets record the links they
+// traverse (link→pairs) and are evicted exactly; everything else is
+// validated lazily against epoch stamps. Invalidate remains as the
+// full-flush fallback for bulk edits.
 //
 // Traversals — BFS, the tight-link bitsets, destination-rooted builds and
 // the per-pair enumerator — read a usability snapshot, never HealthFn.
@@ -590,16 +592,6 @@ func (a Assessment) String() string {
 		a.OfferedGbps, a.SatisfiedGbps, a.Availability(), a.Unreachable, a.MaxUtil)
 }
 
-// routed is one demand's routing decision within an evaluation. The engine
-// path records the arena-backed span (block of n suffixes, plen link IDs
-// each); the reference enumerator records the per-pair path list.
-type routed struct {
-	block   []int32
-	n, plen int
-	paths   []topology.Path
-	share   float64
-}
-
 // Workspace holds the scratch buffers one traffic-matrix evaluation needs.
 // A zero Workspace is ready to use; buffers grow to the fabric size on
 // first evaluation and are retained, so steady-state assessment through
@@ -609,17 +601,6 @@ type Workspace struct {
 	perDemand []float64
 	linkLoad  []float64
 	over      []float64
-	routes    []routed
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		//lint:allow hotpathalloc amortized doubling of a reused scratch buffer; steady state never re-enters
-		return make([]float64, n)
-	}
-	s = s[:n]
-	clear(s)
-	return s
 }
 
 // Evaluate routes the matrix over the usable subgraph: each demand splits
@@ -642,48 +623,50 @@ func (r *Router) Evaluate(tm TrafficMatrix) Assessment {
 //
 // Path resolution runs on the destination-rooted engine (destroot.go): one
 // shared suffix structure per destination serves every source, in place of
-// an independent DFS per pair. The accumulation loops below run in demand
-// order over the same per-pair path sequences the reference enumerator
-// produces, so every float summation order — and the Assessment — is
-// byte-identical to referenceEvaluateInto at any Workers setting.
+// an independent DFS per pair. Demand (s,d)'s paths are read as segments:
+// for each next hop p of s, in adjacency order, the first hop s→p followed
+// by each of the first c of p's suffixes. Within a demand every addition is
+// the same share, so adding it c times to the first hop and once per suffix
+// link gives each link exactly the per-pair paths' additions, in demand
+// order. When no link is overloaded every path's bottleneck factor is 1, so
+// the satisfaction pass skips the path scan. The Assessment is therefore
+// byte-identical to the per-pair specification at any Workers setting.
 //
 //selfmaint:hotpath
 func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	r.prepareDests(tm)
-	nd, nl := len(tm.Demands), len(r.net.Links)
-	ws.perDemand = growFloats(ws.perDemand, nd)
-	ws.linkLoad = growFloats(ws.linkLoad, nl)
-	ws.over = growFloats(ws.over, nl)
-	if cap(ws.routes) < nd {
-		//lint:allow hotpathalloc workspace growth on first use; the buffer is retained, steady state allocates nothing
-		ws.routes = make([]routed, nd)
-	} else {
-		ws.routes = ws.routes[:nd]
-	}
+	nl := len(r.net.Links)
+	ws.perDemand = grow(ws.perDemand, len(tm.Demands))
+	ws.linkLoad = grow(ws.linkLoad, nl)
+	ws.over = grow(ws.over, nl)
 	as := Assessment{
 		PerDemand: ws.perDemand,
 		LinkLoad:  ws.linkLoad,
 	}
-	for i, d := range tm.Demands {
+	for _, d := range tm.Demands {
 		as.OfferedGbps += d.Gbps
-		n := 0
-		var ds *destState
-		if d.Src != d.Dst {
-			ds = r.destCur[d.Dst]
-			n = int(ds.count[d.Src])
-		}
+		ds, n := r.routeCount(d)
 		if n == 0 {
-			ws.routes[i] = routed{}
 			as.Unreachable++
 			continue
 		}
-		plen := int(ds.plen[d.Src])
-		s := int(ds.start[d.Src])
-		blk := ds.arena[s : s+n*plen]
 		share := d.Gbps / float64(n)
-		ws.routes[i] = routed{block: blk, n: n, plen: plen, share: share}
-		for p := 0; p < len(blk); p += plen {
-			for _, l := range blk[p : p+plen] {
+		k := ds.plen[d.Src]
+		for _, np := range r.net.Neighbors(d.Src) {
+			if n == 0 {
+				break
+			}
+			if !r.startsSegment(ds, np, k) {
+				continue
+			}
+			p := np.Peer.ID
+			c := min(n, ds.count[p])
+			n -= c
+			for range c {
+				as.LinkLoad[np.Link.ID] += share // c adds, not one multiply: bit-exact sums
+			}
+			s := ds.start[p]
+			for _, l := range ds.arena[s : s+c*(k-1)] {
 				as.LinkLoad[l] += share
 			}
 		}
@@ -703,19 +686,18 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 		}
 	}
 	for i, d := range tm.Demands {
-		rt := &ws.routes[i]
-		if rt.n == 0 {
+		ds, n := r.routeCount(d)
+		if n == 0 {
 			continue
 		}
+		share := d.Gbps / float64(n)
 		achieved := 0.0
-		for p := 0; p < len(rt.block); p += rt.plen {
-			worst := 1.0
-			for _, l := range rt.block[p : p+rt.plen] {
-				if ws.over[l] > worst {
-					worst = ws.over[l]
-				}
+		if as.MaxUtil <= 1 {
+			for range n {
+				achieved += share // every bottleneck factor is 1
 			}
-			achieved += rt.share / worst
+		} else {
+			achieved = r.bottlenecked(ws.over, ds, d.Src, n, share)
 		}
 		as.SatisfiedGbps += achieved
 		as.PerDemand[i] = achieved / d.Gbps
@@ -723,70 +705,57 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	return as
 }
 
-// referenceEvaluateInto is the original per-pair evaluation: every demand
-// resolved through the paths enumerator. It is the executable specification
-// the destination-rooted engine is differentially tested against
-// (TestDestRootedMatchesPerPairEnumerator) and is not used on any hot path.
-func (r *Router) referenceEvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
-	nd, nl := len(tm.Demands), len(r.net.Links)
-	ws.perDemand = growFloats(ws.perDemand, nd)
-	ws.linkLoad = growFloats(ws.linkLoad, nl)
-	ws.over = growFloats(ws.over, nl)
-	if cap(ws.routes) < nd {
-		ws.routes = make([]routed, nd)
-	} else {
-		ws.routes = ws.routes[:nd]
+// routeCount returns the destination structure serving demand d and the
+// number of equal-cost paths it splits over (0: unreachable or a self-pair).
+//
+//selfmaint:hotpath
+func (r *Router) routeCount(d Demand) (*destState, int32) {
+	if d.Src == d.Dst {
+		return nil, 0
 	}
-	as := Assessment{
-		PerDemand: ws.perDemand,
-		LinkLoad:  ws.linkLoad,
-	}
-	for i, d := range tm.Demands {
-		as.OfferedGbps += d.Gbps
-		paths := r.paths(d.Src, d.Dst)
-		if len(paths) == 0 {
-			ws.routes[i] = routed{}
-			as.Unreachable++
+	ds := r.destCur[d.Dst]
+	return ds, ds.count[d.Src]
+}
+
+// startsSegment reports whether neighbour np of a source at path length k
+// starts a segment of the source's paths in ds: a usable link to a device
+// one hop closer that has suffixes.
+//
+//selfmaint:hotpath
+func (r *Router) startsSegment(ds *destState, np topology.LinkPeer, k int32) bool {
+	p := np.Peer.ID
+	return r.lastUsable[np.Link.ID] && ds.plen[p] == k-1 && ds.count[p] > 0
+}
+
+// bottlenecked sums share divided by each of src's n paths' worst overload
+// factor, in path order, walking the same segments as EvaluateInto's load
+// pass: a path's factor covers its first hop and its suffix links.
+//
+//selfmaint:hotpath
+func (r *Router) bottlenecked(over []float64, ds *destState, src topology.DeviceID, n int32, share float64) float64 {
+	achieved := 0.0
+	k := ds.plen[src]
+	for _, np := range r.net.Neighbors(src) {
+		if n == 0 {
+			break
+		}
+		if !r.startsSegment(ds, np, k) {
 			continue
 		}
-		share := d.Gbps / float64(len(paths))
-		ws.routes[i] = routed{paths: paths, share: share}
-		for _, p := range paths {
-			for _, l := range p {
-				as.LinkLoad[l.ID] += share
-			}
-		}
-	}
-	// Overload factors.
-	for id, load := range as.LinkLoad {
-		cap := r.net.Links[id].GbpsCap
-		if cap <= 0 {
-			continue
-		}
-		u := load / cap
-		if u > as.MaxUtil {
-			as.MaxUtil = u
-		}
-		if u > 1 {
-			ws.over[id] = u
-		}
-	}
-	for i, d := range tm.Demands {
-		if ws.routes[i].paths == nil {
-			continue
-		}
-		achieved := 0.0
-		for _, p := range ws.routes[i].paths {
-			worst := 1.0
-			for _, l := range p {
-				if ws.over[l.ID] > worst {
-					worst = ws.over[l.ID]
+		p := np.Peer.ID
+		c := min(n, ds.count[p])
+		n -= c
+		hop := max(1, over[np.Link.ID])
+		for s := ds.start[p]; c > 0; c-- {
+			worst := hop
+			for _, l := range ds.arena[s : s+k-1] {
+				if over[l] > worst {
+					worst = over[l]
 				}
 			}
-			achieved += ws.routes[i].share / worst
+			achieved += share / worst
+			s += k - 1
 		}
-		as.SatisfiedGbps += achieved
-		as.PerDemand[i] = achieved / d.Gbps
 	}
-	return as
+	return achieved
 }
