@@ -1,10 +1,11 @@
-// Destination-rooted ECMP evaluation: the engine behind EvaluateInto.
+// Destination-rooted ECMP evaluation: the router's only representation of
+// ECMP paths, read by EvaluateInto and LatencyModel.WorstPairLatency.
 //
-// The per-pair enumerator (paths, kept for single-pair consumers like the
-// latency model and as the tests' executable spec) re-runs a recursive DFS
-// over the ECMP DAG for every (src,dst) demand and allocates every path as
-// its own slice: under full uniform injection, O(sources) DFS walks per
-// destination and millions of small allocations per assessment.
+// Its executable specification is a per-pair enumerator kept only in tests
+// (specPaths in destroot_test.go): a recursive DFS over the ECMP DAG for
+// every (src,dst) demand that allocates every path as its own slice — under
+// full uniform injection, O(sources) DFS walks per destination and millions
+// of small allocations per assessment.
 //
 // The destination-rooted engine serves all sources of one destination off a
 // single shared structure: for each destination it records, per device, the
@@ -14,11 +15,11 @@
 // processed in ascending BFS distance, so every suffix is one link
 // prepended to an already-materialized suffix of the next hop. Enumeration
 // follows the exact adjacency order the per-pair DFS uses, and each
-// device's suffix list is capped at MaxPaths — which preserves the per-pair
-// path lists bit-for-bit: the first MaxPaths paths of the DFS concatenation
-// consume at most the first MaxPaths suffixes of each downstream device
+// device's suffix list is capped at maxPaths — which preserves the per-pair
+// path lists bit-for-bit: the first maxPaths paths of the DFS concatenation
+// consume at most the first maxPaths suffixes of each downstream device
 // (see TestDestRootedMatchesPerPairEnumerator). A source's own paths are
-// never stored: EvaluateInto reads them as segments, a first-hop link
+// never stored: consumers read them as segments, a first-hop link
 // followed by a run of a next hop's suffixes, so a device nothing descends
 // through (in every studied fabric, a host) takes no arena space.
 //
@@ -40,8 +41,8 @@
 // goroutines; worker count is a throughput knob, never a results knob.
 // EvaluateInto adds to every link, in demand order, exactly the values the
 // per-pair paths would, so every float summation order — and therefore the
-// Assessment — is byte-identical to the per-pair enumerator at any worker
-// count.
+// Assessment — is byte-identical to the per-pair specification at any
+// worker count.
 package routing
 
 import (
@@ -49,6 +50,10 @@ import (
 
 	"repro/internal/topology"
 )
+
+// maxPaths bounds the equal-cost paths a demand splits over: every device's
+// suffix list is capped at it.
+const maxPaths = 8
 
 // destState is the destination-rooted ECMP structure for one destination.
 // Device d has count[d] shortest-path suffixes toward the destination, of
@@ -249,8 +254,8 @@ func (r *Router) builderFor(w int) *destBuilder {
 // via a counting sort), so each suffix is one link prepended to an
 // already-built suffix of the next hop. Neighbor links are visited in
 // adjacency order — the exact order the per-pair DFS descends — and each
-// device's list is capped at MaxPaths, which preserves per-pair path lists
-// exactly (a consumer takes at most MaxPaths suffixes from any one
+// device's list is capped at maxPaths, which preserves per-pair path lists
+// exactly (a consumer takes at most maxPaths suffixes from any one
 // downstream device, always its first ones).
 //
 // The function only reads shared router state (distance field, adjacency,
@@ -301,10 +306,9 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 	}
 
 	// First pass: every device's suffix count — its next hops' counts summed
-	// in adjacency order and capped at MaxPaths — and the transit marks on
+	// in adjacency order and capped at maxPaths — and the transit marks on
 	// the next hops it draws from. Only transit suffixes are materialized,
 	// so the arena is sized by them, exactly once.
-	mp := int32(r.MaxPaths)
 	total := int32(0)
 	for _, d := range order {
 		if d == dst {
@@ -314,14 +318,14 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 		k := int32(dist[d])
 		cnt := int32(0)
 		for _, np := range r.net.Neighbors(d) {
-			if cnt >= mp {
+			if cnt >= maxPaths {
 				break
 			}
 			p := np.Peer.ID
 			if !r.lastUsable[np.Link.ID] || int32(dist[p]) != k-1 {
 				continue
 			}
-			cnt = min(mp, cnt+ds.count[p])
+			cnt = min(maxPaths, cnt+ds.count[p])
 			if !transit[p] {
 				transit[p] = true
 				total += ds.count[p] * ds.plen[p]

@@ -3,6 +3,7 @@ package routing
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/topology"
@@ -46,19 +47,72 @@ func buildTopo(t *testing.T, kind string) *topology.Network {
 	return n
 }
 
-// referenceEvaluate is the executable specification of EvaluateInto: every
-// demand is resolved through the per-pair enumerator and split evenly over
-// its paths, and each path carries its share divided by the worst overload
-// factor among all of its links.
-func referenceEvaluate(r *Router, tm TrafficMatrix) Assessment {
-	as := Assessment{
-		PerDemand: make([]float64, len(tm.Demands)),
-		LinkLoad:  make([]float64, len(r.net.Links)),
+// specField is dst's BFS distance field over r's usability snapshot. It is
+// computed by topology.HopDistances, so the spec shares no distance code
+// with the engine it checks.
+func specField(r *Router, dst topology.DeviceID) []int {
+	return r.net.HopDistances(dst, func(l *topology.Link) bool { return r.lastUsable[l.ID] })
+}
+
+// specPaths is the executable specification of one demand's ECMP paths, a
+// plain per-pair enumerator with no cache: up to maxPaths shortest src→dst
+// paths, enumerated depth-first over the DAG of dst's field dist with
+// neighbours in adjacency order, over r's usability snapshot. It reads only
+// r.net and r.lastUsable.
+func specPaths(r *Router, dist []int, src, dst topology.DeviceID) []topology.Path {
+	if src == dst || dist[src] < 0 {
+		return nil
 	}
+	var out []topology.Path
+	var cur topology.Path
+	var walk func(d topology.DeviceID)
+	walk = func(d topology.DeviceID) {
+		if d == dst {
+			out = append(out, slices.Clone(cur))
+			return
+		}
+		for _, np := range r.net.Neighbors(d) {
+			if len(out) >= maxPaths {
+				return
+			}
+			if r.lastUsable[np.Link.ID] && dist[np.Peer.ID] == dist[d]-1 {
+				cur = append(cur, np.Link)
+				walk(np.Peer.ID)
+				cur = cur[:len(cur)-1]
+			}
+		}
+	}
+	walk(src)
+	return out
+}
+
+// specMatrixPaths resolves every demand of tm through specPaths, computing
+// each destination's field once.
+func specMatrixPaths(r *Router, tm TrafficMatrix) [][]topology.Path {
+	fields := map[topology.DeviceID][]int{}
 	paths := make([][]topology.Path, len(tm.Demands))
 	for i, d := range tm.Demands {
+		dist, ok := fields[d.Dst]
+		if !ok {
+			dist = specField(r, d.Dst)
+			fields[d.Dst] = dist
+		}
+		paths[i] = specPaths(r, dist, d.Src, d.Dst)
+	}
+	return paths
+}
+
+// referenceEvaluate is the executable specification of EvaluateInto: every
+// demand splits evenly over its spec paths (paths, aligned with tm's
+// demands), and each path carries its share divided by the worst overload
+// factor among all of its links.
+func referenceEvaluate(net *topology.Network, tm TrafficMatrix, paths [][]topology.Path) Assessment {
+	as := Assessment{
+		PerDemand: make([]float64, len(tm.Demands)),
+		LinkLoad:  make([]float64, len(net.Links)),
+	}
+	for i, d := range tm.Demands {
 		as.OfferedGbps += d.Gbps
-		paths[i] = r.paths(d.Src, d.Dst)
 		if len(paths[i]) == 0 {
 			as.Unreachable++
 			continue
@@ -70,9 +124,9 @@ func referenceEvaluate(r *Router, tm TrafficMatrix) Assessment {
 			}
 		}
 	}
-	over := make([]float64, len(r.net.Links))
+	over := make([]float64, len(net.Links))
 	for id, load := range as.LinkLoad {
-		if c := r.net.Links[id].GbpsCap; c > 0 {
+		if c := net.Links[id].GbpsCap; c > 0 {
 			u := load / c
 			if u > as.MaxUtil {
 				as.MaxUtil = u
@@ -103,6 +157,28 @@ func referenceEvaluate(r *Router, tm TrafficMatrix) Assessment {
 	return as
 }
 
+// specWorstLatency is the executable specification of WorstPairLatency: the
+// worst of each PathLatency percentile over every spec path, under a's
+// loads.
+func specWorstLatency(lm LatencyModel, net *topology.Network, paths [][]topology.Path, a Assessment, loss LossFn) Percentiles {
+	util := func(id topology.LinkID) float64 {
+		if c := net.Links[id].GbpsCap; c > 0 {
+			return a.LinkLoad[id] / c
+		}
+		return 0
+	}
+	var worst Percentiles
+	for _, ps := range paths {
+		for _, p := range ps {
+			pc := lm.PathLatency(p, util, loss)
+			worst.P50 = max(worst.P50, pc.P50)
+			worst.P99 = max(worst.P99, pc.P99)
+			worst.P999 = max(worst.P999, pc.P999)
+		}
+	}
+	return worst
+}
+
 // hostInjection is the fabric's full host injection rate: the summed
 // capacity of every host link.
 func hostInjection(net *topology.Network) float64 {
@@ -122,12 +198,16 @@ func hostInjection(net *topology.Network) float64 {
 // drain/fault/repair sequences over every link (host links included, so
 // sources lose uplinks and become unreachable) × seeds × three loads, an
 // incrementally maintained engine router at every worker count produces
-// Assessments byte-identical to referenceEvaluate on a router that
-// full-flushes after every change. 700 Gbps never overloads a link; full
-// and twice-full host injection do, so both branches of the satisfaction
-// pass and the bottleneck scan's first hop are pinned.
+// Assessments byte-identical to referenceEvaluate over the spec paths of a
+// router that full-flushes after every change. 700 Gbps never overloads a
+// link; full and twice-full host injection do, so both branches of the
+// satisfaction pass and the bottleneck scan's first hop are pinned. Once
+// per step, at full injection, the workers=1 engine's WorstPairLatency must
+// equal specWorstLatency exactly, under 20% loss on one random link and a
+// small loss elsewhere.
 func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
+	lm := DefaultLatencyModel()
 	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander"} {
 		for _, seed := range []uint64{3, 11, 29} {
 			net := buildTopo(t, kind)
@@ -141,8 +221,10 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 				engines[i].Workers = w
 			}
 			full := hostInjection(net)
+			const fullLoad = 1 // index of full host injection in tms
 			tms := []TrafficMatrix{UniformMatrix(net, 700), UniformMatrix(net, full), UniformMatrix(net, 2*full)}
 			rng := rand.New(rand.NewPCG(seed, 0xd357))
+			lossRng := rand.New(rand.NewPCG(seed, 0x1055))
 			for step := 0; step < 20; step++ {
 				l := net.Links[rng.IntN(len(net.Links))]
 				switch rng.IntN(4) {
@@ -166,14 +248,31 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 					e.InvalidateLink(l.ID)
 				}
 				ref.Invalidate() // the reference always full-flushes
-				for _, tm := range tms {
-					want := referenceEvaluate(ref, tm)
+				// UniformMatrix emits the same pairs at every load, so one
+				// resolution of the spec paths serves all three.
+				paths := specMatrixPaths(ref, tms[0])
+				lossy := net.Links[lossRng.IntN(len(net.Links))].ID
+				loss := func(id topology.LinkID) float64 {
+					if id == lossy {
+						return 0.2
+					}
+					return 0.001 * float64(id%5)
+				}
+				for li, tm := range tms {
+					want := referenceEvaluate(net, tm, paths)
 					for i, e := range engines {
 						got := e.EvaluateInto(&wss[i], tm)
 						if !reflect.DeepEqual(got, want) {
 							t.Fatalf("%s seed %d step %d %.0f Gbps workers=%d: engine %v != per-pair reference %v",
 								kind, seed, step, tm.TotalGbps(), workerCounts[i], got, want)
 						}
+					}
+					if li != fullLoad {
+						continue
+					}
+					got := lm.WorstPairLatency(engines[0], tm, want, loss)
+					if wantLat := specWorstLatency(lm, net, paths, want, loss); got != wantLat {
+						t.Fatalf("%s seed %d step %d: WorstPairLatency %+v != spec %+v", kind, seed, step, got, wantLat)
 					}
 				}
 			}
@@ -236,7 +335,7 @@ func TestDrainSweepWarmZeroAlloc(t *testing.T) {
 		r.EvaluateInto(&ws, tm)
 	}
 	// Warm every buffer the cycle can touch: both links' drained and
-	// restored states, free lists, arenas, and the pair cache.
+	// restored states, free lists and arenas.
 	for i := 0; i < 3; i++ {
 		cycle(l0)
 		cycle(l1)
@@ -267,5 +366,22 @@ func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	r.buildDest(b, ds, dst, e) // size the builder scratch and arena
 	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(b, ds, dst, e) }); allocs > 0 {
 		t.Fatalf("buildDest into recycled state allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// On a k=4 fat-tree, cross-pod hosts are joined by 2 aggs × 2 cores = 4
+// equal-cost paths of 6 links (host-edge-agg-core-agg-edge-host).
+func TestFatTreeCrossPodEqualCostPaths(t *testing.T) {
+	net := buildTopo(t, "fattree")
+	r := NewRouter(net, nil)
+	hosts := net.Hosts()
+	d := Demand{Src: hosts[0].ID, Dst: hosts[len(hosts)-1].ID, Gbps: 1}
+	r.prepareDests(TrafficMatrix{Demands: []Demand{d}})
+	ds, n := r.routeCount(d)
+	if n != 4 {
+		t.Fatalf("cross-pod equal-cost paths = %d, want 4", n)
+	}
+	if k := ds.plen[d.Src]; k != 6 {
+		t.Fatalf("cross-pod path length = %d, want 6", k)
 	}
 }

@@ -17,7 +17,6 @@ import (
 // maintenance must reproduce byte-identically.
 func freshEvaluate(r *Router, tm TrafficMatrix) Assessment {
 	ref := NewRouter(r.net, r.health)
-	ref.MaxPaths = r.MaxPaths
 	for id, d := range r.drained {
 		if d {
 			ref.Drain(topology.LinkID(id))
@@ -257,20 +256,14 @@ func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 
 // Each //selfmaint:hotpath function inside the router holds at zero
 // steady-state allocations individually, not just through EvaluateInto:
-// warm-cache path lookup, distance-field recycling, and path-slice
-// recycling all serve from retained buffers.
+// distance-field recycling serves from retained buffers.
 func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 	n := leafSpine(t, 4, 2, 4, 1)
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 300)
 	var ws Workspace
-	r.EvaluateInto(&ws, tm) // warm caches, deps indexes and free lists
+	r.EvaluateInto(&ws, tm) // warm caches and free lists
 	d0 := tm.Demands[0]
-
-	// paths + distEntryFor on the warm cache.
-	if allocs := testing.AllocsPerRun(100, func() { r.paths(d0.Src, d0.Dst) }); allocs != 0 {
-		t.Fatalf("warm paths() allocated %.1f/op", allocs)
-	}
 
 	// distEntryFor recomputing an evicted field must serve from the
 	// distance free list and the retained BFS queue.
@@ -279,15 +272,6 @@ func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 		r.distEntryFor(d0.Dst)
 	}); allocs != 0 {
 		t.Fatalf("evict+recompute distEntryFor allocated %.1f/op", allocs)
-	}
-
-	// newPath must serve from the path free list once one is warm.
-	r.freePaths = append(r.freePaths, make(topology.Path, 8))
-	if allocs := testing.AllocsPerRun(100, func() {
-		p := r.newPath(4)
-		r.freePaths = append(r.freePaths, p)
-	}); allocs != 0 {
-		t.Fatalf("recycled newPath allocated %.1f/op", allocs)
 	}
 }
 

@@ -99,6 +99,12 @@ func clampLoss(v float64) float64 {
 // WorstPairLatency evaluates the model over every demand of a matrix using
 // the router's current paths and an assessment's loads, returning the worst
 // P99 and P999 observed — the fabric-level tail a flapping link creates.
+//
+// Paths are read off the destination-rooted structures as EvaluateInto
+// reads them: for each next hop p of the source, in adjacency order, the
+// first hop to p followed by each of the first c of p's suffixes. Each path
+// is copied into one reused buffer, so PathLatency sees the links of every
+// per-pair path in order.
 func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessment, loss LossFn) Percentiles {
 	util := func(id topology.LinkID) float64 {
 		cap := r.net.Links[id].GbpsCap
@@ -107,18 +113,41 @@ func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessmen
 		}
 		return a.LinkLoad[id] / cap
 	}
+	r.prepareDests(tm)
 	var worst Percentiles
+	var path topology.Path
 	for _, d := range tm.Demands {
-		for _, p := range r.paths(d.Src, d.Dst) {
-			pc := lm.PathLatency(p, util, loss)
-			if pc.P99 > worst.P99 {
-				worst.P99 = pc.P99
+		ds, n := r.routeCount(d)
+		if n == 0 {
+			continue
+		}
+		k := ds.plen[d.Src]
+		for _, np := range r.net.Neighbors(d.Src) {
+			if n == 0 {
+				break
 			}
-			if pc.P999 > worst.P999 {
-				worst.P999 = pc.P999
+			if !r.startsSegment(ds, np, k) {
+				continue
 			}
-			if pc.P50 > worst.P50 {
-				worst.P50 = pc.P50
+			p := np.Peer.ID
+			c := min(n, ds.count[p])
+			n -= c
+			for s := ds.start[p]; c > 0; c-- {
+				path = append(path[:0], np.Link)
+				for _, l := range ds.arena[s : s+k-1] {
+					path = append(path, r.net.Links[l])
+				}
+				s += k - 1
+				pc := lm.PathLatency(path, util, loss)
+				if pc.P99 > worst.P99 {
+					worst.P99 = pc.P99
+				}
+				if pc.P999 > worst.P999 {
+					worst.P999 = pc.P999
+				}
+				if pc.P50 > worst.P50 {
+					worst.P50 = pc.P50
+				}
 			}
 		}
 	}

@@ -14,20 +14,21 @@
 // the garbage collector to scan. Every cached BFS distance field sits in a
 // per-device slot beside a bitset of the links tight toward its destination
 // (on some shortest path), and the destination-rooted arenas hold the int32
-// link IDs of transit devices' path suffixes, which EvaluateInto reads as
-// first-hop + suffix segments. A link leaving the usable subgraph touches
-// only the fields whose bitset holds it, and most of those are settled by
-// an exact O(degree) test: if the link's farther endpoint keeps another
-// next hop, no distance changes. A BFS runs only when that endpoint lost
-// its last one. A link joining the subgraph is resolved from its two
-// endpoint distances per field. Per-pair path sets record the links they
-// traverse (link→pairs) and are evicted exactly; everything else is
+// link IDs of transit devices' path suffixes, which EvaluateInto and
+// LatencyModel.WorstPairLatency read as first-hop + suffix segments; they
+// are the router's only representation of ECMP paths. A link leaving the
+// usable subgraph touches only the fields whose bitset holds it, and most
+// of those are settled by an exact O(degree) test: if the link's farther
+// endpoint keeps another next hop, no distance changes. A BFS runs only
+// when that endpoint lost its last one. A link joining the subgraph is
+// resolved from its two endpoint distances per field. Every field whose
+// ECMP DAG changes shelves its destination's structure; the rest are
 // validated lazily against epoch stamps. Invalidate remains as the
 // full-flush fallback for bulk edits.
 //
-// Traversals — BFS, the tight-link bitsets, destination-rooted builds and
-// the per-pair enumerator — read a usability snapshot, never HealthFn.
-// Only InvalidateLink, Drain, Undrain and Invalidate refresh it.
+// Traversals — BFS, the tight-link bitsets and destination-rooted builds —
+// read a usability snapshot, never HealthFn. Only InvalidateLink, Drain,
+// Undrain and Invalidate refresh it.
 package routing
 
 import (
@@ -57,25 +58,6 @@ type distEntry struct {
 	stamp uint64
 }
 
-// pathEntry is one cached ECMP path set, stamped with the epoch of the
-// distance field it was enumerated over. The entry is valid only while the
-// destination's field still carries the same stamp — evicting a field
-// lazily invalidates every path set built on it, with no dst→pairs index.
-// seq is the entry's identity in the link→pairs index; refs whose seq no
-// longer matches the cached entry are stale and skipped.
-type pathEntry struct {
-	paths []topology.Path
-	stamp uint64
-	seq   uint64
-}
-
-// pairRef points from a link into the path-set cache: the entry for key
-// traversed the link when it was enumerated (valid while seq matches).
-type pairRef struct {
-	key [2]topology.DeviceID
-	seq uint64
-}
-
 // Router computes paths and loads over the currently usable subgraph.
 type Router struct {
 	net      *topology.Network
@@ -83,47 +65,33 @@ type Router struct {
 	drained  []bool
 	drainedN int
 
-	// MaxPaths bounds equal-cost path enumeration per demand.
-	MaxPaths int
-
 	// Workers bounds the goroutines used to rebuild destination-rooted
 	// structures inside EvaluateInto (0 or 1 means serial). Rebuilds are
 	// pure per-destination functions, so the worker count is a throughput
 	// knob only: results are byte-identical at any setting.
 	Workers int
 
-	cache map[[2]topology.DeviceID]pathEntry
 	// distCache holds each destination's distance field and tight-link
 	// bitset, indexed by DeviceID. Every cached field is exact for the
 	// current snapshot: transitions repair or evict fields eagerly, and
-	// only path sets and destination structures go stale lazily. fields
-	// counts the occupied slots: while it is zero (a router never
-	// evaluated, like a fleet region's) transitions skip the slot scan.
+	// only destination structures go stale lazily. fields counts the
+	// occupied slots: while it is zero (a router never evaluated, like a
+	// fleet region's) transitions skip the slot scan.
 	distCache []distEntry
 	fields    int
-	// linkPairs is the link→pairs reverse index: linkPairs[id] lists the
-	// cached path sets whose paths traverse link id. When the link leaves
-	// the usable subgraph, exactly these pairs re-enumerate; every other
-	// pair keeps its paths (ECMP redundancy means most distance fields
-	// survive a link loss unchanged). Stale refs are skipped via the seq
-	// check and each list is reset when its link's down-transition is
-	// processed.
-	linkPairs [][]pairRef
-	pairSeq   uint64
 	// lastUsable snapshots each link's usability as of the last (in)validation.
 	// Every traversal reads it, and health transitions that do not change
 	// usability (e.g. Healthy → Flapping, which still carries traffic) cost
 	// nothing.
 	lastUsable []bool
-	// cacheEpoch stamps distance fields and path sets; it advances on every
-	// effective invalidation, so stale entries fail their stamp comparison
-	// instead of needing eager eviction.
+	// cacheEpoch stamps distance fields, and through them the destination
+	// structures built over them; it advances on every effective
+	// invalidation, so stale structures fail their stamp comparison instead
+	// of needing eager eviction.
 	cacheEpoch uint64
 
 	queue     []topology.DeviceID // BFS scratch
 	freeDists []distEntry         // recycled distance fields with their bitsets
-	freePaths []topology.Path     // recycled path slices
-	linkMark  []uint64            // per-link dedup scratch for pair registration
 	ws        Workspace           // Evaluate's internal workspace
 
 	// Destination-rooted engine state (destroot.go). destCur holds each
@@ -148,12 +116,8 @@ func NewRouter(net *topology.Network, health HealthFn) *Router {
 		net:        net,
 		health:     health,
 		drained:    make([]bool, len(net.Links)),
-		MaxPaths:   8,
-		cache:      make(map[[2]topology.DeviceID]pathEntry),
 		distCache:  make([]distEntry, len(net.Devices)),
-		linkPairs:  make([][]pairRef, len(net.Links)),
 		lastUsable: make([]bool, len(net.Links)),
-		linkMark:   make([]uint64, len(net.Links)),
 		destCur:    make([]*destState, len(net.Devices)),
 		destShelf:  make([]*destState, len(net.Devices)),
 		destMark:   make([]uint64, len(net.Devices)),
@@ -221,18 +185,15 @@ func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 //     a drain of an already-down link), nothing is touched.
 //   - If the link left the usable subgraph, only destinations whose tight
 //     bitset holds it can change. An O(degree) test proves most of those
-//     fields unchanged (ECMP redundancy); the rest are recomputed. Only the
-//     path sets that actually traversed the link (per the link→pairs index)
-//     re-enumerate.
+//     fields unchanged (ECMP redundancy); the rest are recomputed.
 //   - If the link joined the subgraph, a destination's field changes only if
 //     the link bridges devices the field ranks ≥2 apart (an edge between
 //     equidistant devices can never lie on a shortest path; one bridging a
 //     single hop leaves all distances intact). For surviving fields the new
-//     edge may still join the ECMP DAG, so the pairs it would serve — decided
-//     in O(1) from the two endpoint fields — are evicted exactly.
+//     edge joins the ECMP DAG and the field's tight bitset.
 //
-// A field recomputed under a new stamp or evicted implicitly invalidates its
-// dependent path sets; they are re-enumerated on next use.
+// Either way, every destination whose ECMP DAG may have changed shelves its
+// destination-rooted structure; it is restored or rebuilt on next use.
 func (r *Router) InvalidateLink(id topology.LinkID) {
 	l := r.net.Links[id]
 	u := r.Usable(l)
@@ -254,8 +215,7 @@ func (r *Router) InvalidateLink(id topology.LinkID) {
 // destination-rooted structure (its DAG lost an edge) and then either keeps
 // its distances and stamp — dropping only l's tight bit — or, when l's
 // farther endpoint lost its last next hop, is recomputed in place under a
-// fresh stamp. Path sets that traversed l are evicted exactly, via the
-// link→pairs index.
+// fresh stamp.
 //
 //selfmaint:hotpath
 func (r *Router) linkDown(l *topology.Link) {
@@ -279,15 +239,9 @@ func (r *Router) linkDown(l *topology.Link) {
 			continue
 		}
 		// far's distance grows, so the field changes: recompute it in place
-		// under a new stamp; dependent path sets go stale via the stamp check.
+		// under a new stamp.
 		r.computeField(dst, e)
 	}
-	for _, ref := range r.linkPairs[id] {
-		if pe, ok := r.cache[ref.key]; ok && pe.seq == ref.seq {
-			r.evictPair(ref.key, pe)
-		}
-	}
-	r.linkPairs[id] = r.linkPairs[id][:0]
 }
 
 // keepsNextHop reports whether device u still has a usable neighbour one hop
@@ -311,10 +265,7 @@ func (r *Router) keepsNextHop(dist []int, u topology.DeviceID) bool {
 // the endpoints equal are untouched; fields ranking them ≥2 apart (or one
 // side unreachable) shorten and are evicted. Fields ranking them exactly one
 // apart keep their distances but gain a DAG edge: the link joins their tight
-// bitset, and the pair scan evicts precisely the (src,dst) sets for which
-// some shortest path now crosses the new edge — src reaches one endpoint,
-// the hop descends toward dst, and the combined length matches the cached
-// src→dst distance.
+// bitset. Both kinds shelve their destination-rooted structure.
 //
 //selfmaint:hotpath
 func (r *Router) linkUp(l *topology.Link) {
@@ -337,38 +288,8 @@ func (r *Router) linkUp(l *topology.Link) {
 			r.evictDist(dst) // the link shortens or newly connects routes to dst
 			continue
 		}
-		// |da-db| == 1: distances survive and the link is now tight toward
-		// dst; the pair scan below handles the DAG change.
+		// |da-db| == 1: distances survive; the link is now tight toward dst.
 		e.tight[id>>6] |= 1 << (id & 63)
-	}
-	//lint:allow mapiter keyed pair evictions; free-list order is unobservable
-	for key, pe := range r.cache {
-		de := &r.distCache[key[1]]
-		if de.dist == nil || de.stamp != pe.stamp {
-			continue // already stale; re-enumerates on next use
-		}
-		x, y := a, b
-		dx, dy := de.dist[x], de.dist[y]
-		if dx < dy {
-			x, dx, dy = y, dy, dx
-		}
-		if dx < 0 || dy < 0 || dx-dy != 1 {
-			continue // link not tight toward dst: no new paths for any source
-		}
-		t := de.dist[key[0]]
-		if t < 0 {
-			continue // still unreachable: surviving fields are exact
-		}
-		se := &r.distCache[key[0]]
-		if se.dist == nil {
-			// No field for the source end, so we cannot prove the new edge
-			// lies off every shortest path; evict conservatively.
-			r.evictPair(key, pe)
-			continue
-		}
-		if sx := se.dist[x]; sx >= 0 && sx+1+dy == t {
-			r.evictPair(key, pe) // the new edge is on a shortest src→dst path
-		}
 	}
 }
 
@@ -379,31 +300,18 @@ func (r *Router) evictDist(dst topology.DeviceID) {
 	r.fields--
 }
 
-func (r *Router) evictPair(key [2]topology.DeviceID, pe pathEntry) {
-	delete(r.cache, key)
-	r.freePaths = append(r.freePaths, pe.paths...)
-}
-
-// Invalidate flushes every cached distance field and path set and refreshes
-// the whole usability snapshot from HealthFn — the fallback for bulk
-// topology edits, and the call a caller owes the router after changing
-// health without reporting each link through InvalidateLink: until then,
-// traversals keep routing over the old snapshot. Single-link transitions
-// should use InvalidateLink instead.
+// Invalidate flushes every cached distance field and refreshes the whole
+// usability snapshot from HealthFn — the fallback for bulk topology edits,
+// and the call a caller owes the router after changing health without
+// reporting each link through InvalidateLink: until then, traversals keep
+// routing over the old snapshot. Single-link transitions should use
+// InvalidateLink instead.
 func (r *Router) Invalidate() {
 	r.cacheEpoch++
-	//lint:allow mapiter full flush; free-list recycling order is unobservable (buffers are overwritten before reuse)
-	for _, pe := range r.cache {
-		r.freePaths = append(r.freePaths, pe.paths...)
-	}
-	clear(r.cache)
 	for dst := range r.distCache {
 		if r.distCache[dst].dist != nil {
 			r.evictDist(topology.DeviceID(dst))
 		}
-	}
-	for i := range r.linkPairs {
-		r.linkPairs[i] = r.linkPairs[i][:0]
 	}
 	for i, l := range r.net.Links {
 		r.lastUsable[i] = r.Usable(l)
@@ -478,88 +386,6 @@ func (r *Router) computeField(dst topology.DeviceID, e *distEntry) {
 	}
 	r.queue = q
 	e.stamp = r.cacheEpoch
-}
-
-// paths returns cached equal-cost shortest paths for a pair, enumerated
-// over the ECMP DAG induced by the cached distance field. A cached set is
-// served only while its stamp matches the field it was built over.
-//
-//selfmaint:hotpath
-func (r *Router) paths(src, dst topology.DeviceID) []topology.Path {
-	if src == dst {
-		return nil
-	}
-	e := r.distEntryFor(dst)
-	key := [2]topology.DeviceID{src, dst}
-	if pe, ok := r.cache[key]; ok {
-		if pe.stamp == e.stamp {
-			return pe.paths
-		}
-		r.freePaths = append(r.freePaths, pe.paths...)
-	}
-	var out []topology.Path
-	if dist := e.dist; dist[src] >= 0 {
-		var cur topology.Path
-		var walk func(d topology.DeviceID)
-		walk = func(d topology.DeviceID) {
-			if len(out) >= r.MaxPaths {
-				return
-			}
-			if d == dst {
-				p := r.newPath(len(cur))
-				copy(p, cur)
-				out = append(out, p)
-				return
-			}
-			for _, np := range r.net.Neighbors(d) {
-				if !r.lastUsable[np.Link.ID] {
-					continue
-				}
-				if pd := dist[np.Peer.ID]; pd >= 0 && pd == dist[d]-1 {
-					//lint:allow hotpathalloc cache-miss enumeration only; cur grows to max path depth once, then reuses capacity
-					cur = append(cur, np.Link)
-					walk(np.Peer.ID)
-					cur = cur[:len(cur)-1]
-					if len(out) >= r.MaxPaths {
-						return
-					}
-				}
-			}
-		}
-		walk(src)
-	}
-	r.pairSeq++
-	r.cache[key] = pathEntry{paths: out, stamp: e.stamp, seq: r.pairSeq}
-	// Register every distinct link the paths traverse in the link→pairs
-	// index, so a down-transition can evict exactly this entry.
-	for _, p := range out {
-		for _, l := range p {
-			if r.linkMark[l.ID] != r.pairSeq {
-				r.linkMark[l.ID] = r.pairSeq
-				//lint:allow hotpathalloc cache-miss index registration; per-link lists retain capacity across resets
-				r.linkPairs[l.ID] = append(r.linkPairs[l.ID], pairRef{key: key, seq: r.pairSeq})
-			}
-		}
-	}
-	return out
-}
-
-// newPath returns a path slice of length n, recycled from evicted entries
-// when one with enough capacity is available.
-//
-//selfmaint:hotpath
-func (r *Router) newPath(n int) topology.Path {
-	for len(r.freePaths) > 0 {
-		last := len(r.freePaths) - 1
-		p := r.freePaths[last]
-		r.freePaths[last] = nil
-		r.freePaths = r.freePaths[:last]
-		if cap(p) >= n {
-			return p[:n]
-		}
-	}
-	//lint:allow hotpathalloc free-list miss; evicted path slices are recycled, steady state reuses buffers
-	return make(topology.Path, n)
 }
 
 // Assessment is the result of evaluating a traffic matrix.

@@ -275,7 +275,7 @@ func TestQueueingInflatesBase(t *testing.T) {
 	lm := DefaultLatencyModel()
 	hosts := n.Hosts()
 	r := NewRouter(n, nil)
-	paths := r.paths(hosts[0].ID, hosts[1].ID)
+	paths := specPaths(r, specField(r, hosts[1].ID), hosts[0].ID, hosts[1].ID)
 	if len(paths) == 0 {
 		t.Fatal("no path")
 	}

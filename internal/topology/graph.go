@@ -69,67 +69,8 @@ func (n *Network) ShortestPathLinks(dist []int, ok Usable, visit func(*Link)) {
 	}
 }
 
-// NextHopsTo returns, for every device, the set of usable links that lie on
-// a shortest path toward dst — the ECMP next-hop sets routing fans traffic
-// over. Devices that cannot reach dst get an empty set.
-func (n *Network) NextHopsTo(dst DeviceID, ok Usable) [][]*Link {
-	dist := n.HopDistances(dst, ok)
-	hops := make([][]*Link, len(n.Devices))
-	for d := range n.Devices {
-		if dist[d] <= 0 {
-			continue // dst itself or unreachable
-		}
-		for _, e := range n.usableAdj(DeviceID(d), ok) {
-			if pd := dist[e.Peer.ID]; pd >= 0 && pd == dist[d]-1 {
-				hops[d] = append(hops[d], e.Link)
-			}
-		}
-	}
-	return hops
-}
-
 // Path is a sequence of links from a source to a destination.
 type Path []*Link
-
-// ShortestPaths enumerates up to limit distinct shortest paths from src to
-// dst over usable links (depth-first over the ECMP DAG). It returns nil if
-// dst is unreachable.
-func (n *Network) ShortestPaths(src, dst DeviceID, limit int, ok Usable) []Path {
-	if src == dst {
-		return nil
-	}
-	dist := n.HopDistances(dst, ok)
-	if dist[src] < 0 {
-		return nil
-	}
-	if limit <= 0 {
-		limit = 16
-	}
-	var out []Path
-	var cur Path
-	var walk func(d DeviceID)
-	walk = func(d DeviceID) {
-		if len(out) >= limit {
-			return
-		}
-		if d == dst {
-			out = append(out, append(Path(nil), cur...))
-			return
-		}
-		for _, e := range n.usableAdj(d, ok) {
-			if pd := dist[e.Peer.ID]; pd >= 0 && pd == dist[d]-1 {
-				cur = append(cur, e.Link)
-				walk(e.Peer.ID)
-				cur = cur[:len(cur)-1]
-				if len(out) >= limit {
-					return
-				}
-			}
-		}
-	}
-	walk(src)
-	return out
-}
 
 // Connected reports whether all devices are mutually reachable over usable
 // links. An empty network is connected.
