@@ -241,11 +241,12 @@ func BenchmarkRoutingEvaluate(b *testing.B) {
 	}
 	r := routing.NewRouter(net, nil)
 	tm := routing.UniformMatrix(net, 1000)
+	var ws routing.Workspace
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		r.Invalidate() // force cold caches: the worst case after a failure
-		_ = r.Evaluate(tm)
+		_ = r.EvaluateInto(&ws, tm)
 	}
 }
 

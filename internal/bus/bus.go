@@ -61,9 +61,6 @@ type Subscription struct {
 	active bool
 }
 
-// Active reports whether the subscription still receives events.
-func (s *Subscription) Active() bool { return s != nil && s.active }
-
 // Cancel detaches the subscriber. It is safe to call mid-delivery (the
 // subscriber receives nothing further) and more than once.
 func (s *Subscription) Cancel() {

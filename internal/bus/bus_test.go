@@ -105,7 +105,7 @@ func TestCancelMidDelivery(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("cancelled subscriber received %d events, want 0", got)
 	}
-	if victim.Active() {
+	if victim.active {
 		t.Fatal("victim still active after Cancel")
 	}
 	victim.Cancel() // double-cancel is a no-op

@@ -33,8 +33,8 @@ const (
 // AlertKind classifies a Sense-stage alert.
 type AlertKind uint8
 
-// Alert kinds, mirroring the telemetry plane's taxonomy without importing
-// it (telemetry publishes onto the bus, so the bus stays below it).
+// Alert kinds: the telemetry plane's taxonomy. Telemetry publishes these
+// alerts directly, so the bus stays below it.
 const (
 	AlertLinkDown AlertKind = iota
 	AlertLinkFlapping

@@ -108,10 +108,6 @@ func (f *Frame) renderWire() {
 	f.wire = b
 }
 
-// Wire returns the frame's rendered delta line (for tests and the stream
-// writer).
-func (f *Frame) Wire() []byte { return f.wire }
-
 // String renders the envelope for logs.
 func (f *Frame) String() string {
 	return fmt.Sprintf("#%d [%v] %s/%s", f.Seq, f.At, f.Topic, f.Key)

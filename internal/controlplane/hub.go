@@ -286,10 +286,6 @@ func (a *Attachment) Take(max int) (frames []*Frame, drops []byte) {
 	return a.h.take(a.c, nil, max)
 }
 
-// Wake returns the attachment's wakeup channel: a buffered signal that
-// fires when new frames are queued.
-func (a *Attachment) Wake() <-chan struct{} { return a.c.wake }
-
 // coversLocked reports whether frame sequence s is still in the retention
 // ring.
 func (h *Hub) coversLocked(s uint64) bool {

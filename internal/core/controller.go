@@ -263,17 +263,14 @@ func New(d Deps, cfg Config) *Controller {
 // Stats returns a copy of the activity counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
-// Policy returns the active planning policy.
-func (c *Controller) Policy() Policy { return c.d.Policy }
-
 // HeldDrains returns how many links are currently drained on behalf of
-// in-flight work items — operational introspection, and the invariant
-// DrainedCount == HeldDrains must hold whenever the controller is the only
-// drain authority.
+// in-flight work items. Whenever the controller is the only drain
+// authority, the router's drained links must number exactly this; the
+// scenario chaos tests check that conservation through it, and no
+// production code reads it.
+//
+//lint:allow deadexport TestChaosInvariants and TestActuatorChaosNeverWedges check drain conservation against it
 func (c *Controller) HeldDrains() int { return c.act.heldDrains() }
-
-// PredictorHandle exposes the trained predictor for experiment scoring.
-func (c *Controller) PredictorHandle() *Predictor { return c.planner.predictor }
 
 // CollectorDataset exposes matured labelled samples for experiment scoring.
 func (c *Controller) CollectorDataset() (X [][]float64, y []bool) {

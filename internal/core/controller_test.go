@@ -49,6 +49,17 @@ type harnessOpt struct {
 	wrapHumans func(exec.Executor) exec.Executor
 }
 
+// drainedLinks counts the links the router has drained.
+func (h *harness) drainedLinks() int {
+	n := 0
+	for _, l := range h.net.Links {
+		if h.router.Drained(l.ID) {
+			n++
+		}
+	}
+	return n
+}
+
 func newHarness(t *testing.T, o harnessOpt) *harness {
 	t.Helper()
 	if o.leaves == 0 {
@@ -242,7 +253,7 @@ func TestImpactAwarePreDrain(t *testing.T) {
 	l := h.sepLink(t)
 	maxDrained := 0
 	h.eng.Every(0, sim.Second, "watch-drains", func(sim.Time) {
-		if d := h.router.DrainedCount(); d > maxDrained {
+		if d := h.drainedLinks(); d > maxDrained {
 			maxDrained = d
 		}
 	})
@@ -255,7 +266,7 @@ func TestImpactAwarePreDrain(t *testing.T) {
 	if maxDrained < 2 {
 		t.Fatalf("max drained = %d, want target + neighbours", maxDrained)
 	}
-	if h.router.DrainedCount() != 0 {
+	if h.drainedLinks() != 0 {
 		t.Fatal("drains not released after repair")
 	}
 }
@@ -466,8 +477,8 @@ func TestYearLongSmokeAtL3(t *testing.T) {
 		t.Fatalf("too many stuck tickets: %d open of %d", open, sum.Total)
 	}
 	// Every drain is held by an in-flight work item — none leaked.
-	if h.router.DrainedCount() != h.ctrl.HeldDrains() {
-		t.Fatalf("leaked drains: router=%d held=%d", h.router.DrainedCount(), h.ctrl.HeldDrains())
+	if h.drainedLinks() != h.ctrl.HeldDrains() {
+		t.Fatalf("leaked drains: router=%d held=%d", h.drainedLinks(), h.ctrl.HeldDrains())
 	}
 }
 
@@ -543,10 +554,10 @@ func TestPredictiveLoopLifecycle(t *testing.T) {
 			c.PredictThreshold = 0.6
 		}})
 	h.eng.RunUntil(120 * sim.Day)
-	if h.ctrl.PredictorHandle() == nil {
+	if h.ctrl.planner.predictor == nil {
 		t.Fatal("no predictor at L4")
 	}
-	if !h.ctrl.PredictorHandle().Trained {
+	if !h.ctrl.planner.predictor.Trained {
 		// Training can legitimately fail only if no failures happened at all.
 		X, y := h.ctrl.CollectorDataset()
 		pos := 0

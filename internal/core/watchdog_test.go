@@ -162,8 +162,8 @@ func TestWatchdogStateMachine(t *testing.T) {
 			}
 			// The watchdog released everything the attempts held: no leaked
 			// drains, no retained work item, and the technician pool intact.
-			if h.router.DrainedCount() != 0 || h.ctrl.HeldDrains() != 0 {
-				t.Fatalf("leaked drains: router=%d held=%d", h.router.DrainedCount(), h.ctrl.HeldDrains())
+			if h.drainedLinks() != 0 || h.ctrl.HeldDrains() != 0 {
+				t.Fatalf("leaked drains: router=%d held=%d", h.drainedLinks(), h.ctrl.HeldDrains())
 			}
 			if len(h.ctrl.act.work) != 0 {
 				t.Fatalf("work map retains %d item(s) after resolution", len(h.ctrl.act.work))
@@ -310,8 +310,8 @@ func TestL1OperatorExhaustionRecovers(t *testing.T) {
 	if h.crew.FindTech() == nil {
 		t.Fatal("operator not returned to the pool")
 	}
-	if h.router.DrainedCount() != 0 || h.ctrl.HeldDrains() != 0 {
-		t.Fatalf("leaked drains: router=%d held=%d", h.router.DrainedCount(), h.ctrl.HeldDrains())
+	if h.drainedLinks() != 0 || h.ctrl.HeldDrains() != 0 {
+		t.Fatalf("leaked drains: router=%d held=%d", h.drainedLinks(), h.ctrl.HeldDrains())
 	}
 }
 

@@ -30,16 +30,3 @@ func KeysInto[M ~map[K]V, K cmp.Ordered, V any](dst []K, m M) []K {
 	slices.Sort(dst[base:])
 	return dst
 }
-
-// KeysFunc returns the keys of m sorted by cmp, for key types outside
-// cmp.Ordered (structs, arrays). cmp must return a negative, zero, or
-// positive value as in slices.SortFunc and, for byte-identical output,
-// define a total order over the keys present.
-func KeysFunc[M ~map[K]V, K comparable, V any](m M, cmp func(a, b K) int) []K {
-	keys := make([]K, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.SortFunc(keys, cmp)
-	return keys
-}

@@ -1,10 +1,7 @@
 package detsort
 
 import (
-	"fmt"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 )
 
@@ -42,73 +39,5 @@ func TestKeysInto(t *testing.T) {
 	// Steady-state reuse allocates nothing once grown.
 	if allocs := testing.AllocsPerRun(100, func() { buf = KeysInto(buf[:0], m) }); allocs != 0 {
 		t.Fatalf("KeysInto steady state allocates %v times per run, want 0", allocs)
-	}
-}
-
-func TestKeysFunc(t *testing.T) {
-	type pair struct{ a, b int }
-	m := map[pair]string{{2, 1}: "x", {1, 2}: "y", {1, 1}: "z"}
-	got := KeysFunc(m, func(x, y pair) int {
-		if x.a != y.a {
-			return x.a - y.a
-		}
-		return x.b - y.b
-	})
-	want := []pair{{1, 1}, {1, 2}, {2, 1}}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("KeysFunc = %v, want %v", got, want)
-	}
-}
-
-// TestKeysFuncConcurrentPipelines exercises KeysFunc from many goroutines
-// at once — the region-sharded simulation calls it from every shard's
-// pipeline concurrently — and checks each caller still gets the exact
-// sorted order. Under -race this pins that KeysFunc touches no shared
-// state: each shard's maps are its own, and sorting must stay that way.
-func TestKeysFuncConcurrentPipelines(t *testing.T) {
-	type key struct{ Region, Seq int }
-	cmp := func(a, b key) int {
-		if a.Region != b.Region {
-			return a.Region - b.Region
-		}
-		return a.Seq - b.Seq
-	}
-	build := func(shard int) map[key]int {
-		m := make(map[key]int)
-		for i := 0; i < 300; i++ {
-			m[key{Region: (shard + i) % 7, Seq: 299 - i}] = i
-		}
-		return m
-	}
-	render := func(shard int) string {
-		var b strings.Builder
-		for round := 0; round < 20; round++ {
-			for _, k := range KeysFunc(build(shard), cmp) {
-				fmt.Fprintf(&b, "%d/%d ", k.Region, k.Seq)
-			}
-			b.WriteByte('\n')
-		}
-		return b.String()
-	}
-	const shards = 8
-	want := make([]string, shards)
-	for s := 0; s < shards; s++ {
-		want[s] = render(s)
-	}
-	got := make([]string, shards)
-	var wg sync.WaitGroup
-	for s := 0; s < shards; s++ {
-		s := s
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			got[s] = render(s)
-		}()
-	}
-	wg.Wait()
-	for s := 0; s < shards; s++ {
-		if got[s] != want[s] {
-			t.Fatalf("shard %d: concurrent KeysFunc order diverged from serial", s)
-		}
 	}
 }

@@ -174,7 +174,6 @@ const (
 	TopicSummary  bus.Topic = "fleet.summary"
 	TopicTicket   bus.Topic = "fleet.ticket"
 	TopicTransfer bus.Topic = "fleet.transfer"
-	TopicTrunk    bus.Topic = "fleet.trunk"
 )
 
 // TransferNote is the payload of fleet.transfer events.
@@ -336,12 +335,6 @@ func (f *Fleet) hubNow() sim.Time {
 
 // Run advances the fleet to the given instant.
 func (f *Fleet) Run(until sim.Time) { f.ME.RunUntil(until) }
-
-// Stats returns the coordination counters.
-func (f *Fleet) Stats() Stats { return f.stats }
-
-// Tickets returns the fleet-level tickets in open order.
-func (f *Fleet) Tickets() []Ticket { return f.tickets }
 
 // Report is the deterministic end-of-run summary of a fleet simulation;
 // its Render is byte-identical at any worker count for a fixed seed.

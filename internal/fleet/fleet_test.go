@@ -157,7 +157,7 @@ func TestFleetTransfersRebalance(t *testing.T) {
 	})
 	f.Run(60 * 24 * sim.Hour)
 
-	st := f.Stats()
+	st := f.stats
 	if st.TransfersRequested == 0 {
 		t.Fatal("no transfers requested in 60 days of a starved region")
 	}
@@ -187,12 +187,12 @@ func TestFleetTransfersRebalance(t *testing.T) {
 func TestFleetTicketsHysteresis(t *testing.T) {
 	f, _ := buildToyFleet(t, 1)
 	f.Run(60 * 24 * sim.Hour)
-	st := f.Stats()
+	st := f.stats
 	if st.TicketsOpened == 0 {
 		t.Fatal("no fleet tickets opened")
 	}
 	open := map[int]bool{}
-	for _, tk := range f.Tickets() {
+	for _, tk := range f.tickets {
 		if tk.ClosedAt == 0 {
 			if open[tk.Region] {
 				t.Fatalf("region %d has two open fleet tickets", tk.Region)
@@ -225,7 +225,7 @@ func TestFleetOverlayWeather(t *testing.T) {
 	if f.Overlay.Trunks() == 0 {
 		t.Fatal("overlay has no trunks")
 	}
-	if f.Stats().TrunkNotices == 0 {
+	if f.stats.TrunkNotices == 0 {
 		t.Fatal("no trunk notices reached the regions")
 	}
 }

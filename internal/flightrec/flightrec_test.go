@@ -79,13 +79,10 @@ func (g *genState) kvs() []KV {
 	kvs := make([]KV, 0, n)
 	for i := 0; i < n; i++ {
 		key := fmt.Sprintf("k%d", i)
-		switch g.rng.IntN(3) {
-		case 0:
+		if g.rng.IntN(2) == 0 {
 			kvs = append(kvs, KInt(key, g.rng.Int64N(1<<50)-(1<<49)))
-		case 1:
+		} else {
 			kvs = append(kvs, KFloat(key, (g.rng.Float64()-0.5)*1e9))
-		default:
-			kvs = append(kvs, KStr(key, g.str()))
 		}
 	}
 	return kvs

@@ -52,7 +52,6 @@ type kvKind uint8
 const (
 	kvInt kvKind = iota
 	kvFloat
-	kvStr
 )
 
 // KV is one typed key/value pair of a state frame: the scalars a report is
@@ -62,7 +61,6 @@ type KV struct {
 	kind kvKind
 	i    int64
 	f    float64
-	s    string
 }
 
 // KInt makes an integer-valued KV.
@@ -71,29 +69,19 @@ func KInt(key string, v int64) KV { return KV{Key: key, kind: kvInt, i: v} }
 // KFloat makes a float-valued KV.
 func KFloat(key string, v float64) KV { return KV{Key: key, kind: kvFloat, f: v} }
 
-// KStr makes a string-valued KV.
-func KStr(key, v string) KV { return KV{Key: key, kind: kvStr, s: v} }
-
 // Int returns the integer value (zero for other kinds).
 func (kv KV) Int() int64 { return kv.i }
 
 // Float returns the float value (zero for other kinds).
 func (kv KV) Float() float64 { return kv.f }
 
-// Str returns the string value ("" for other kinds).
-func (kv KV) Str() string { return kv.s }
-
 // String renders key=value. Floats use strconv 'g' with full precision, so
 // the render round-trips the exact bits — state lines are fingerprinted.
 func (kv KV) String() string {
-	switch kv.kind {
-	case kvInt:
+	if kv.kind == kvInt {
 		return kv.Key + "=" + strconv.FormatInt(kv.i, 10)
-	case kvFloat:
-		return kv.Key + "=" + fmtFloat(kv.f)
-	default:
-		return kv.Key + "=" + kv.s
 	}
+	return kv.Key + "=" + fmtFloat(kv.f)
 }
 
 func fmtFloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

@@ -166,8 +166,6 @@ func (r *Reader) decodeBody(d *dec) Frame {
 				kv.i = d.i()
 			case kvFloat:
 				kv.f = d.f()
-			case kvStr:
-				kv.s = d.s()
 			default:
 				d.fail("unknown state value kind %d", kv.kind)
 			}

@@ -89,9 +89,6 @@ func New(w io.Writer, meta map[string]string, shards int, opts ...Option) (*Reco
 // Err returns the first write or sequencing error, if any.
 func (r *Recorder) Err() error { return r.err }
 
-// Frames returns how many frames have been encoded so far.
-func (r *Recorder) Frames() uint64 { return r.frames }
-
 // TapBus attaches the recorder to a bus as a tap recording onto the given
 // shard, returning the subscription for detaching.
 func (r *Recorder) TapBus(b *bus.Bus, shard int) *bus.Subscription {
@@ -228,8 +225,6 @@ func (r *Recorder) encodeBody(f Frame) {
 				e.i(kv.i)
 			case kvFloat:
 				e.f(kv.f)
-			case kvStr:
-				e.s(kv.s)
 			}
 		}
 	case KindEpoch:

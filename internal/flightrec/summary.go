@@ -177,14 +177,8 @@ func (s *Summary) addPayload(f Frame) {
 	}
 }
 
-// Meta returns the run metadata recorded in the header.
-func (s *Summary) Meta() map[string]string { return s.meta }
-
 // Frames returns the number of accumulated frames (trailer excluded).
 func (s *Summary) Frames() uint64 { return s.frames }
-
-// Events returns the number of accumulated event frames.
-func (s *Summary) Events() uint64 { return s.events }
 
 // ReactiveWindows returns the service windows (hours) of resolved reactive
 // tickets, ordered by (shard, ticket id) — creation order within a shard,
@@ -224,10 +218,6 @@ func (s *Summary) ReactiveOpen() int {
 	return n
 }
 
-// StateKVs returns the state frame key/values recorded for one shard, in
-// written order (nil if the shard recorded none).
-func (s *Summary) StateKVs(shard int) []KV { return s.stateByID[shard] }
-
 // StateKV looks up one state key on one shard.
 func (s *Summary) StateKV(shard int, key string) (KV, bool) {
 	for _, kv := range s.stateByID[shard] {
@@ -237,10 +227,6 @@ func (s *Summary) StateKV(shard int, key string) (KV, bool) {
 	}
 	return KV{}, false
 }
-
-// StateShards returns the shards that recorded state frames, in first-
-// written order.
-func (s *Summary) StateShards() []int { return s.stateOrder }
 
 // Render produces the canonical report text: the sorted metadata header
 // followed by the fingerprinted body. Every line derives from accumulated

@@ -91,7 +91,10 @@ func DefaultStock(net *topology.Network) map[PartKind]int {
 	}
 }
 
-// Stock returns the current shelf count.
+// Stock returns the current shelf count. The simulation only takes parts;
+// the robot and workforce tests read shelf counts through it.
+//
+//lint:allow deadexport robot's TestReplaceXcvrConsumesSpare, TestStockoutReportsWithoutTouchingLink and TestCleaningSuppliesStockout and workforce's TestStockout read shelf counts through it
 func (p *Pool) Stock(k PartKind) int { return p.stock[k] }
 
 // Take draws one part, triggering a reorder when the shelf crosses the

@@ -26,8 +26,12 @@ type Analyzer struct {
 	Name string
 	// Doc is the one-paragraph help text; the first line is the summary.
 	Doc string
-	// Run applies the analyzer to one package.
+	// Run, when non-nil, applies the analyzer to one package.
 	Run func(*Pass) (any, error)
+	// RunProgram, when non-nil, runs once after every package's Run, with
+	// one pass (without facts) per package, and only when the run loaded
+	// the whole module. Report each finding through its package's pass.
+	RunProgram func([]*Pass) error
 	// FactCollector, when non-nil, scans one package for the fact origins
 	// this analyzer consumes transitively (see internal/lint/facts). The
 	// driver runs every analyzer's collector over every package — in

@@ -45,9 +45,13 @@ type Result struct {
 }
 
 // Run loads each named package from dir/src/<path>, applies a with the
-// fact layer primed, filters through //lint:allow, and reports mismatches
-// against // want comments as test errors. It returns the per-package
+// fact layer primed (a program-level analyzer sees the named packages as
+// the whole program), filters through //lint:allow, and reports
+// mismatches against // want comments as test errors. It returns the per-package
 // results so tests can make extra assertions (e.g. on suggested fixes).
+// It is the harness every analyzer test calls, so only tests use it.
+//
+//lint:allow deadexport the harness every analyzer test (TestWallclock, TestMapIter, TestDeadExport, ...) calls
 func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) []Result {
 	t.Helper()
 	var collectors []facts.Collector
@@ -55,8 +59,11 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) []Resu
 		collectors = append(collectors, az.FactCollector)
 	}
 	known := lint.Names()
+	var passes []*analysis.Pass
 	var results []Result
-	for _, path := range paths {
+	indexes := make([]*allow.Index, len(paths))
+	diags := make([][]analysis.Diagnostic, len(paths))
+	for i, path := range paths {
 		pkg, deps, err := loader.LoadSource(loader.Config{
 			SrcRoots: []loader.SrcRoot{{Dir: dir + "/src"}},
 		}, path)
@@ -65,7 +72,6 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) []Resu
 		}
 		store := facts.NewStore()
 		var view *facts.View
-		var ix *allow.Index
 		for _, p := range append(deps, pkg) {
 			p := p
 			pix := allow.Build(p.Fset, p.Files, known)
@@ -75,10 +81,9 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) []Resu
 				func(name string, pos token.Pos) bool { return pix.Allowed(name, p.Fset, pos) },
 			)
 			if p == pkg {
-				view, ix = v, pix
+				view, indexes[i] = v, pix
 			}
 		}
-		var diags []analysis.Diagnostic
 		pass := &analysis.Pass{
 			Analyzer:  a,
 			Fset:      pkg.Fset,
@@ -86,16 +91,25 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, paths ...string) []Resu
 			Pkg:       pkg.Types,
 			TypesInfo: pkg.Info,
 			Facts:     view,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+			Report:    func(d analysis.Diagnostic) { diags[i] = append(diags[i], d) },
 		}
-		if _, err := a.Run(pass); err != nil {
-			t.Fatalf("%s: running %s: %v", path, a.Name, err)
+		if a.Run != nil {
+			if _, err := a.Run(pass); err != nil {
+				t.Fatalf("%s: running %s: %v", path, a.Name, err)
+			}
 		}
-		diags = ix.Filter(a.Name, pkg.Fset, diags)
-		for _, msg := range diffWants(pkg.Fset, a.Name, collectWants(t, pkg), diags) {
+		passes, results = append(passes, pass), append(results, Result{Pkg: pkg})
+	}
+	if a.RunProgram != nil {
+		if err := a.RunProgram(passes); err != nil {
+			t.Fatalf("running %s: %v", a.Name, err)
+		}
+	}
+	for i, r := range results {
+		results[i].Diagnostics = indexes[i].Filter(a.Name, r.Pkg.Fset, diags[i])
+		for _, msg := range diffWants(r.Pkg.Fset, a.Name, collectWants(t, r.Pkg), results[i].Diagnostics) {
 			t.Errorf("%s", msg)
 		}
-		results = append(results, Result{Pkg: pkg, Diagnostics: diags})
 	}
 	return results
 }

@@ -13,7 +13,9 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
+	"strings"
 	"time"
 
 	"repro/internal/detsort"
@@ -105,11 +107,13 @@ func Run(opts Options) int {
 	usedByPkg := make(map[string][]facts.UsedAllow)
 
 	var findings []Finding
-	for _, pkg := range pkgs {
+	indexes := make([]*allow.Index, len(pkgs))
+	for i, pkg := range pkgs {
 		if opts.Verbose {
 			fmt.Fprintf(opts.Stderr, "selfmaintlint: %s\n", pkg.Path)
 		}
 		ix := allow.Build(pkg.Fset, pkg.Files, known)
+		indexes[i] = ix
 		for _, p := range ix.Problems {
 			findings = append(findings, newFinding(pkg.Fset, "allow", p))
 		}
@@ -142,17 +146,11 @@ func Run(opts Options) int {
 		}
 
 		for _, a := range analyzers {
-			var diags []analysis.Diagnostic
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Facts:     view,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
+			if a.Run == nil {
+				continue
 			}
-			if _, err := a.Run(pass); err != nil {
+			var diags []analysis.Diagnostic
+			if _, err := a.Run(newPass(a, pkg, view, &diags)); err != nil {
 				fmt.Fprintf(opts.Stderr, "selfmaintlint: %s on %s: %v\n", a.Name, pkg.Path, err)
 				return 2
 			}
@@ -160,9 +158,35 @@ func Run(opts Options) int {
 				findings = append(findings, newFinding(pkg.Fset, a.Name, d))
 			}
 		}
+	}
 
-		if opts.Stale {
-			for _, d := range ix.Stale() {
+	if wholeProgram(opts) {
+		for _, a := range analyzers {
+			if a.RunProgram == nil {
+				continue
+			}
+			diags := make([][]analysis.Diagnostic, len(pkgs))
+			passes := make([]*analysis.Pass, len(pkgs))
+			for i, pkg := range pkgs {
+				passes[i] = newPass(a, pkg, nil, &diags[i])
+			}
+			if err := a.RunProgram(passes); err != nil {
+				fmt.Fprintf(opts.Stderr, "selfmaintlint: %s: %v\n", a.Name, err)
+				return 2
+			}
+			for i, pkg := range pkgs {
+				for _, d := range indexes[i].Filter(a.Name, pkg.Fset, diags[i]) {
+					findings = append(findings, newFinding(pkg.Fset, a.Name, d))
+				}
+			}
+		}
+	}
+
+	// Staleness is known only once every analyzer, program-level ones
+	// included, has had its chance to consume a directive.
+	if opts.Stale {
+		for i, pkg := range pkgs {
+			for _, d := range indexes[i].Stale() {
 				findings = append(findings, newFinding(pkg.Fset, "allow", analysis.Diagnostic{
 					Pos: d.Pos,
 					Message: fmt.Sprintf("stale //lint:allow %s directive: it suppressed no finding and no fact; remove it (reason was: %s)",
@@ -214,6 +238,27 @@ func Run(opts Options) int {
 		return 1
 	}
 	return 0
+}
+
+// newPass binds analyzer a to one package, appending its reports to sink.
+func newPass(a *analysis.Analyzer, pkg *loader.Package, view *facts.View, sink *[]analysis.Diagnostic) *analysis.Pass {
+	return &analysis.Pass{
+		Analyzer:  a,
+		Fset:      pkg.Fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.Info,
+		Facts:     view,
+		Report:    func(d analysis.Diagnostic) { *sink = append(*sink, d) },
+	}
+}
+
+// wholeProgram reports whether the run loaded the whole module: the
+// testdata mode, or ./... (the default) from the module root.
+func wholeProgram(opts Options) bool {
+	_, err := os.Stat(filepath.Join(opts.Dir, "go.mod"))
+	patterns := strings.Join(opts.Patterns, " ")
+	return len(opts.SrcPkgs) > 0 || err == nil && (patterns == "" || patterns == "./...")
 }
 
 // findingsOrEmpty keeps the JSON output an array (not null) when clean.

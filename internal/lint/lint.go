@@ -1,15 +1,16 @@
-// Package lint registers the selfmaintlint analyzer suite: the eight
-// machine-enforced determinism, hot-path, and concurrency invariants behind
-// the repo's byte-identical fixed-seed guarantee. cmd/selfmaintlint runs
-// them as a CI gate; DESIGN.md ("Determinism invariants") documents each
-// rule, the interprocedural fact layer they share, and how to add the next
-// one.
+// Package lint registers the selfmaintlint analyzer suite: the nine
+// machine-enforced invariants — determinism, hot-path, concurrency, and no
+// exported name that only tests use — behind the repo's byte-identical
+// fixed-seed guarantee and its lean surface. cmd/selfmaintlint runs them
+// as a CI gate; DESIGN.md ("Determinism invariants") documents each rule,
+// the interprocedural fact layer they share, and how to add the next one.
 package lint
 
 import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/busreentry"
 	"repro/internal/lint/crossshard"
+	"repro/internal/lint/deadexport"
 	"repro/internal/lint/errdrop"
 	"repro/internal/lint/globalrand"
 	"repro/internal/lint/hotpathalloc"
@@ -29,6 +30,7 @@ func Analyzers() []*analysis.Analyzer {
 		crossshard.Analyzer,
 		lockguard.Analyzer,
 		errdrop.Analyzer,
+		deadexport.Analyzer,
 	}
 }
 

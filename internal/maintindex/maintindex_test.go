@@ -19,17 +19,15 @@ func build(t *testing.T, kind string) *topology.Network {
 			FabricGbps: 400, HostGbps: 100,
 		})
 	case "jellyfish":
-		cfg := topology.DefaultJellyfish()
-		cfg.Switches = 24
-		cfg.FabricDegree = 6
-		cfg.HostsPerSwitch = 3
-		n, err = topology.NewJellyfish(cfg)
+		n, err = topology.NewJellyfish(topology.JellyfishConfig{
+			Switches: 24, FabricDegree: 6, HostsPerSwitch: 3,
+			FabricGbps: 400, HostGbps: 100, Seed: 1,
+		})
 	case "xpander":
-		cfg := topology.DefaultXpander()
-		cfg.Degree = 6
-		cfg.Lift = 4
-		cfg.HostsPerSwitch = 3
-		n, err = topology.NewXpander(cfg)
+		n, err = topology.NewXpander(topology.XpanderConfig{
+			Degree: 6, Lift: 4, HostsPerSwitch: 3,
+			FabricGbps: 400, HostGbps: 100, Seed: 1,
+		})
 	}
 	if err != nil {
 		t.Fatal(err)

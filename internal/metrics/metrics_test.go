@@ -2,7 +2,6 @@ package metrics
 
 import (
 	"math"
-	"math/rand/v2"
 	"sort"
 	"strings"
 	"testing"
@@ -15,14 +14,14 @@ import (
 
 func TestWelford(t *testing.T) {
 	var w Welford
-	if w.Mean() != 0 || w.Var() != 0 || w.N() != 0 {
+	if w.Mean() != 0 || w.Var() != 0 || w.n != 0 {
 		t.Fatal("zero value not neutral")
 	}
 	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
 		w.Add(x)
 	}
-	if w.N() != 8 || w.Mean() != 5 {
-		t.Fatalf("mean = %v n = %d", w.Mean(), w.N())
+	if w.n != 8 || w.Mean() != 5 {
+		t.Fatalf("mean = %v n = %d", w.Mean(), w.n)
 	}
 	if math.Abs(w.Var()-32.0/7) > 1e-12 {
 		t.Fatalf("var = %v", w.Var())
@@ -151,63 +150,6 @@ func seq(n int) []float64 {
 		out[i] = float64(i + 1)
 	}
 	return out
-}
-
-// TestP2SmallSampleFallback: below five samples P2 must report the same
-// nearest-rank quantile the exact histogram would.
-func TestP2SmallSampleFallback(t *testing.T) {
-	for _, q := range []float64{0, 0.5, 0.95, 1} {
-		p := NewP2(q)
-		var h Histogram
-		for _, x := range []float64{42, 3, 17} {
-			p.Add(x)
-			h.Add(x)
-		}
-		if got, want := p.Value(), h.Quantile(q); got != want {
-			t.Errorf("q=%v: p2 fallback %v, histogram %v", q, got, want)
-		}
-	}
-	// Two samples: a high quantile must pick the upper sample.
-	p := NewP2(0.95)
-	p.Add(10)
-	p.Add(20)
-	if v := p.Value(); v != 20 {
-		t.Fatalf("p95 of {10,20} = %v, want 20", v)
-	}
-}
-
-func TestP2AgainstExact(t *testing.T) {
-	rng := rand.New(rand.NewPCG(1, 2))
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		p := NewP2(q)
-		var h Histogram
-		for i := 0; i < 50000; i++ {
-			x := rng.ExpFloat64() * 10
-			p.Add(x)
-			h.Add(x)
-		}
-		exact := h.Quantile(q)
-		got := p.Value()
-		if math.Abs(got-exact)/exact > 0.08 {
-			t.Fatalf("q=%v: p2=%v exact=%v", q, got, exact)
-		}
-		if p.N() != 50000 {
-			t.Fatal("N")
-		}
-	}
-}
-
-func TestP2SmallSamples(t *testing.T) {
-	p := NewP2(0.5)
-	if p.Value() != 0 {
-		t.Fatal("empty estimator")
-	}
-	p.Add(5)
-	p.Add(1)
-	p.Add(9)
-	if v := p.Value(); v != 5 {
-		t.Fatalf("3-sample median = %v", v)
-	}
 }
 
 func TestStepIntegrator(t *testing.T) {

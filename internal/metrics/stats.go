@@ -1,6 +1,6 @@
 // Package metrics provides the measurement layer of the framework:
-// streaming statistics (Welford accumulators, exact and P² percentile
-// estimators), time-integrated ledgers for availability accounting, and
+// streaming statistics (Welford accumulators, exact percentiles),
+// time-integrated ledgers for availability accounting, and
 // plain-text table/figure renderers used by the experiment harness.
 package metrics
 
@@ -26,9 +26,6 @@ func (w *Welford) Add(x float64) {
 	w.m2 += d * (x - w.mean)
 }
 
-// N returns the sample count.
-func (w *Welford) N() int { return w.n }
-
 // Mean returns the sample mean (0 with no samples).
 func (w *Welford) Mean() float64 { return w.mean }
 
@@ -48,9 +45,8 @@ func (w *Welford) String() string {
 	return fmt.Sprintf("%.4g ± %.2g (n=%d)", w.Mean(), w.Stdev(), w.n)
 }
 
-// Histogram collects samples for exact quantiles. It is intended for
-// experiment-scale data (up to millions of points); use P2 for unbounded
-// streams.
+// Histogram collects samples for exact quantiles. It keeps every sample,
+// which suits experiment-scale data (up to millions of points).
 type Histogram struct {
 	vals   []float64
 	sorted bool
@@ -138,107 +134,3 @@ func (h *Histogram) CDF(n int) (xs, fs []float64) {
 	}
 	return xs, fs
 }
-
-// P2 is the Jain–Chlamtac P² streaming quantile estimator: constant memory,
-// one pass, no sorting. It tracks a single quantile.
-type P2 struct {
-	q       float64
-	n       int
-	heights [5]float64
-	pos     [5]float64
-	want    [5]float64
-	inc     [5]float64
-	initial []float64
-}
-
-// NewP2 creates an estimator for quantile q in (0,1).
-func NewP2(q float64) *P2 {
-	p := &P2{q: q}
-	p.inc = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return p
-}
-
-// Add incorporates a sample.
-func (p *P2) Add(x float64) {
-	if p.n < 5 {
-		p.initial = append(p.initial, x)
-		p.n++
-		if p.n == 5 {
-			sort.Float64s(p.initial)
-			for i := 0; i < 5; i++ {
-				p.heights[i] = p.initial[i]
-				p.pos[i] = float64(i + 1)
-			}
-			p.want = [5]float64{1, 1 + 2*p.q, 1 + 4*p.q, 3 + 2*p.q, 5}
-		}
-		return
-	}
-	p.n++
-	// Find cell k.
-	var k int
-	switch {
-	case x < p.heights[0]:
-		p.heights[0] = x
-		k = 0
-	case x >= p.heights[4]:
-		p.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 4; k++ {
-			if x < p.heights[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		p.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		p.want[i] += p.inc[i]
-	}
-	// Adjust interior markers.
-	for i := 1; i <= 3; i++ {
-		d := p.want[i] - p.pos[i]
-		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			h := p.parabolic(i, sign)
-			if p.heights[i-1] < h && h < p.heights[i+1] {
-				p.heights[i] = h
-			} else {
-				p.heights[i] = p.linear(i, sign)
-			}
-			p.pos[i] += sign
-		}
-	}
-}
-
-func (p *P2) parabolic(i int, d float64) float64 {
-	return p.heights[i] + d/(p.pos[i+1]-p.pos[i-1])*
-		((p.pos[i]-p.pos[i-1]+d)*(p.heights[i+1]-p.heights[i])/(p.pos[i+1]-p.pos[i])+
-			(p.pos[i+1]-p.pos[i]-d)*(p.heights[i]-p.heights[i-1])/(p.pos[i]-p.pos[i-1]))
-}
-
-func (p *P2) linear(i int, d float64) float64 {
-	di := int(d)
-	return p.heights[i] + d*(p.heights[i+di]-p.heights[i])/(p.pos[i+di]-p.pos[i])
-}
-
-// Value returns the current quantile estimate. With fewer than five samples
-// it falls back to the exact small-sample quantile.
-func (p *P2) Value() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	if p.n < 5 {
-		tmp := append([]float64(nil), p.initial...)
-		sort.Float64s(tmp)
-		return tmp[nearestRank(p.q, len(tmp))]
-	}
-	return p.heights[2]
-}
-
-// N returns the number of samples seen.
-func (p *P2) N() int { return p.n }

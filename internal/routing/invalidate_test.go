@@ -22,7 +22,25 @@ func freshEvaluate(r *Router, tm TrafficMatrix) Assessment {
 			ref.Drain(topology.LinkID(id))
 		}
 	}
-	return ref.Evaluate(tm)
+	return evaluate(ref, tm)
+}
+
+// evaluate runs EvaluateInto on a fresh workspace, so the Assessment owns
+// its slices.
+func evaluate(r *Router, tm TrafficMatrix) Assessment {
+	var ws Workspace
+	return r.EvaluateInto(&ws, tm)
+}
+
+// drainedCount counts r's drained links.
+func drainedCount(r *Router) int {
+	n := 0
+	for _, l := range r.net.Links {
+		if r.Drained(l.ID) {
+			n++
+		}
+	}
+	return n
 }
 
 // Differential property: a router maintained with per-link incremental
@@ -81,13 +99,13 @@ func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 				checkFieldsExact(t, inc, fmt.Sprintf("%s step %d transition %d", c.name, step, j))
 			}
 			ref.Invalidate() // the reference router always full-flushes
-			a, b := inc.Evaluate(tm), ref.Evaluate(tm)
+			a, b := evaluate(inc, tm), evaluate(ref, tm)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("%s step %d: incremental %v != full-flush %v", c.name, step, a, b)
 			}
-			if inc.DrainedCount() != ref.DrainedCount() {
+			if drainedCount(inc) != drainedCount(ref) {
 				t.Fatalf("%s step %d: drained count %d != %d",
-					c.name, step, inc.DrainedCount(), ref.DrainedCount())
+					c.name, step, drainedCount(inc), drainedCount(ref))
 			}
 		}
 	}
@@ -131,8 +149,8 @@ func TestRepeatedDrainDoesNotBumpEpoch(t *testing.T) {
 	if r.Epoch() != e {
 		t.Fatalf("repeated Drain bumped epoch %d -> %d", e, r.Epoch())
 	}
-	if r.DrainedCount() != 1 {
-		t.Fatalf("DrainedCount = %d after double drain", r.DrainedCount())
+	if drainedCount(r) != 1 {
+		t.Fatalf("DrainedCount = %d after double drain", drainedCount(r))
 	}
 	r.Undrain(l.ID)
 	e2 := r.Epoch()
@@ -143,8 +161,8 @@ func TestRepeatedDrainDoesNotBumpEpoch(t *testing.T) {
 	if r.Epoch() != e2 {
 		t.Fatal("repeated Undrain bumped the epoch")
 	}
-	if r.DrainedCount() != 0 {
-		t.Fatalf("DrainedCount = %d after undrain", r.DrainedCount())
+	if drainedCount(r) != 0 {
+		t.Fatalf("DrainedCount = %d after undrain", drainedCount(r))
 	}
 }
 
@@ -154,7 +172,7 @@ func TestInvalidateLinkNoOpWhenUsabilityUnchanged(t *testing.T) {
 	n := leafSpine(t, 4, 2, 2, 1)
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 200)
-	r.Evaluate(tm)
+	evaluate(r, tm)
 	e, nd := r.Epoch(), r.fields
 	if nd == 0 {
 		t.Fatal("no distance fields cached after evaluation")
@@ -190,13 +208,13 @@ func TestDrainDuringFlapEpisode(t *testing.T) {
 	l := n.SwitchLinks()[0]
 	eng.Schedule(sim.Hour, "break", func() { inj.InduceFault(l, faults.Contamination) })
 	eng.RunUntil(2 * sim.Hour)
-	r.Evaluate(tm) // warm caches mid-episode
+	evaluate(r, tm) // warm caches mid-episode
 	r.Drain(l.ID)
-	if got, want := r.Evaluate(tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
+	if got, want := evaluate(r, tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
 		t.Fatalf("drain during flap episode: %v != fresh %v", got, want)
 	}
 	r.Undrain(l.ID)
-	if got, want := r.Evaluate(tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
+	if got, want := evaluate(r, tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
 		t.Fatalf("undrain during flap episode: %v != fresh %v", got, want)
 	}
 }
@@ -208,7 +226,7 @@ func TestUndrainWithPeerDeviceDown(t *testing.T) {
 	down := map[topology.LinkID]bool{}
 	r := NewRouter(n, func(id topology.LinkID) bool { return !down[id] })
 	tm := UniformMatrix(n, 300)
-	r.Evaluate(tm)
+	evaluate(r, tm)
 
 	uplink := n.SwitchLinks()[0]
 	spine := uplink.A.Device
@@ -216,7 +234,7 @@ func TestUndrainWithPeerDeviceDown(t *testing.T) {
 		spine = uplink.B.Device
 	}
 	r.Drain(uplink.ID)
-	r.Evaluate(tm)
+	evaluate(r, tm)
 	// Take the peer spine's remaining links down one by one (device down).
 	for _, np := range n.Neighbors(spine.ID) {
 		if np.Link.ID != uplink.ID {
@@ -224,9 +242,9 @@ func TestUndrainWithPeerDeviceDown(t *testing.T) {
 			r.InvalidateLink(np.Link.ID)
 		}
 	}
-	r.Evaluate(tm)
+	evaluate(r, tm)
 	r.Undrain(uplink.ID) // back in service, but it leads to an isolated device
-	if got, want := r.Evaluate(tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
+	if got, want := evaluate(r, tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
 		t.Fatalf("undrain toward downed device: %v != fresh %v", got, want)
 	}
 	// Recover the device; everything must match a cold router again.
@@ -236,7 +254,7 @@ func TestUndrainWithPeerDeviceDown(t *testing.T) {
 			r.InvalidateLink(np.Link.ID)
 		}
 	}
-	if got, want := r.Evaluate(tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
+	if got, want := evaluate(r, tm), freshEvaluate(r, tm); !reflect.DeepEqual(got, want) {
 		t.Fatalf("after device recovery: %v != fresh %v", got, want)
 	}
 }

@@ -60,10 +60,9 @@ type distEntry struct {
 
 // Router computes paths and loads over the currently usable subgraph.
 type Router struct {
-	net      *topology.Network
-	health   HealthFn
-	drained  []bool
-	drainedN int
+	net     *topology.Network
+	health  HealthFn
+	drained []bool
 
 	// Workers bounds the goroutines used to rebuild destination-rooted
 	// structures inside EvaluateInto (0 or 1 means serial). Rebuilds are
@@ -92,7 +91,6 @@ type Router struct {
 
 	queue     []topology.DeviceID // BFS scratch
 	freeDists []distEntry         // recycled distance fields with their bitsets
-	ws        Workspace           // Evaluate's internal workspace
 
 	// Destination-rooted engine state (destroot.go). destCur holds each
 	// destination's current suffix structure; destShelf is a one-slot
@@ -152,7 +150,6 @@ func (r *Router) Drain(id topology.LinkID) {
 		return
 	}
 	r.drained[id] = true
-	r.drainedN++
 	r.InvalidateLink(id)
 }
 
@@ -162,15 +159,11 @@ func (r *Router) Undrain(id topology.LinkID) {
 		return
 	}
 	r.drained[id] = false
-	r.drainedN--
 	r.InvalidateLink(id)
 }
 
 // Drained reports the administrative state.
 func (r *Router) Drained(id topology.LinkID) bool { return r.drained[id] }
-
-// DrainedCount returns how many links are currently drained.
-func (r *Router) DrainedCount() int { return r.drainedN }
 
 // Epoch returns the current cache epoch. It advances exactly when an
 // invalidation changed the usable subgraph, so tests can assert that no-op
@@ -301,11 +294,13 @@ func (r *Router) evictDist(dst topology.DeviceID) {
 }
 
 // Invalidate flushes every cached distance field and refreshes the whole
-// usability snapshot from HealthFn — the fallback for bulk topology edits,
-// and the call a caller owes the router after changing health without
-// reporting each link through InvalidateLink: until then, traversals keep
-// routing over the old snapshot. Single-link transitions should use
-// InvalidateLink instead.
+// usability snapshot from HealthFn, as after a bulk edit that reported no
+// link through InvalidateLink. No production caller makes such edits —
+// every transition goes through InvalidateLink — so it serves the routing
+// tests as the full-flush reference that incremental invalidation must
+// match.
+//
+//lint:allow deadexport TestIncrementalInvalidationMatchesFullFlush and TestDestRootedMatchesPerPairEnumerator full-flush their reference router with it
 func (r *Router) Invalidate() {
 	r.cacheEpoch++
 	for dst := range r.distCache {
@@ -429,23 +424,13 @@ type Workspace struct {
 	over      []float64
 }
 
-// Evaluate routes the matrix over the usable subgraph: each demand splits
-// evenly across its equal-cost paths, and each demand's achieved rate is
-// its offered rate divided by the worst overload factor along its paths —
-// a one-shot approximation of proportional sharing under congestion.
-// The returned Assessment owns its slices; hot loops that do not retain
-// results should use EvaluateInto instead.
-func (r *Router) Evaluate(tm TrafficMatrix) Assessment {
-	as := r.EvaluateInto(&r.ws, tm)
-	as.PerDemand = append([]float64(nil), as.PerDemand...)
-	as.LinkLoad = append([]float64(nil), as.LinkLoad...)
-	return as
-}
-
-// EvaluateInto is Evaluate against caller-owned scratch: the returned
-// Assessment's PerDemand and LinkLoad alias ws buffers and are valid until
-// the workspace's next evaluation. With warm caches it performs zero heap
-// allocations.
+// EvaluateInto routes the matrix over the usable subgraph: each demand
+// splits evenly across its equal-cost paths, and each demand's achieved
+// rate is its offered rate divided by the worst overload factor along its
+// paths — a one-shot approximation of proportional sharing under
+// congestion. The returned Assessment's PerDemand and LinkLoad alias
+// caller-owned ws buffers and are valid until the workspace's next
+// evaluation. With warm caches it performs zero heap allocations.
 //
 // Path resolution runs on the destination-rooted engine (destroot.go): one
 // shared suffix structure per destination serves every source, in place of

@@ -23,7 +23,7 @@ func TestEvaluateHealthyFabricSatisfiesModestLoad(t *testing.T) {
 	n := leafSpine(t, 4, 2, 4, 1)
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 200)
-	a := r.Evaluate(tm)
+	a := evaluate(r, tm)
 	if a.Availability() < 0.999 {
 		t.Fatalf("availability %v on an uncongested fabric", a.Availability())
 	}
@@ -48,7 +48,7 @@ func TestOverloadReducesSatisfaction(t *testing.T) {
 		Demand{Src: hosts[0].ID, Dst: hosts[2].ID, Gbps: 600},
 		Demand{Src: hosts[1].ID, Dst: hosts[3].ID, Gbps: 600},
 	)
-	a := r.Evaluate(tm)
+	a := evaluate(r, tm)
 	if a.Availability() > 0.95 {
 		t.Fatalf("availability %v despite 3x uplink overload", a.Availability())
 	}
@@ -70,7 +70,7 @@ func TestLinkFailureForcesReroute(t *testing.T) {
 	r := NewRouter(n, func(id topology.LinkID) bool { return !down[id] })
 	tm := UniformMatrix(n, 100)
 
-	before := r.Evaluate(tm)
+	before := evaluate(r, tm)
 	if before.Availability() < 0.999 {
 		t.Fatal("unhealthy baseline")
 	}
@@ -82,7 +82,7 @@ func TestLinkFailureForcesReroute(t *testing.T) {
 	}
 	down[uplink.ID] = true
 	r.Invalidate()
-	after := r.Evaluate(tm)
+	after := evaluate(r, tm)
 	if after.Availability() < 0.999 {
 		t.Fatalf("availability %v after single uplink loss with a spare spine", after.Availability())
 	}
@@ -101,10 +101,10 @@ func TestDrainMovesTraffic(t *testing.T) {
 		break
 	}
 	r.Drain(uplink.ID)
-	if !r.Drained(uplink.ID) || r.DrainedCount() != 1 {
+	if !r.Drained(uplink.ID) || drainedCount(r) != 1 {
 		t.Fatal("drain bookkeeping")
 	}
-	a := r.Evaluate(tm)
+	a := evaluate(r, tm)
 	if a.LinkLoad[uplink.ID] != 0 {
 		t.Fatal("drained link still carries load")
 	}
@@ -112,7 +112,7 @@ func TestDrainMovesTraffic(t *testing.T) {
 		t.Fatalf("drain collapsed availability: %v", a.Availability())
 	}
 	r.Undrain(uplink.ID)
-	a = r.Evaluate(tm)
+	a = evaluate(r, tm)
 	if a.LinkLoad[uplink.ID] == 0 {
 		t.Fatal("undrained link carries no load")
 	}
@@ -131,7 +131,7 @@ func TestIsolatedLeafUnreachable(t *testing.T) {
 	}
 	r.Invalidate()
 	tm := UniformMatrix(n, 100)
-	a := r.Evaluate(tm)
+	a := evaluate(r, tm)
 	if a.Unreachable == 0 {
 		t.Fatal("no unreachable demands after isolating a leaf")
 	}
@@ -152,58 +152,8 @@ func TestMatrices(t *testing.T) {
 		t.Fatalf("uniform total = %v", u.TotalGbps())
 	}
 
-	p := PermutationMatrix(n, 10, 3)
-	if len(p.Demands) == 0 || len(p.Demands) > hosts {
-		t.Fatalf("permutation demands = %d", len(p.Demands))
-	}
-	for _, d := range p.Demands {
-		if d.Src == d.Dst {
-			t.Fatal("self demand in permutation")
-		}
-	}
-	// Deterministic by seed.
-	p2 := PermutationMatrix(n, 10, 3)
-	if len(p2.Demands) != len(p.Demands) || p2.Demands[0] != p.Demands[0] {
-		t.Fatal("permutation not deterministic")
-	}
-
-	s := SkewedMatrix(n, 100, 0.7, 4)
-	if math.Abs(s.TotalGbps()-100) > 1e-6 {
-		t.Fatalf("skewed total = %v", s.TotalGbps())
-	}
-	if s.String() == "" || u.String() == "" {
-		t.Error("matrix strings")
-	}
-}
-
-func TestRingAllReduce(t *testing.T) {
-	n, err := topology.NewAICluster(topology.AIClusterConfig{Servers: 8, RailsPerServer: 2, RailGbps: 400})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tm := RingAllReduceMatrix(n, 100)
-	if len(tm.Demands) != 8 {
-		t.Fatalf("ring demands = %d", len(tm.Demands))
-	}
-	down := map[topology.LinkID]bool{}
-	r := NewRouter(n, func(id topology.LinkID) bool { return !down[id] })
-	a := r.Evaluate(tm)
-	if eff := CollectiveEfficiency(a); eff < 0.999 {
-		t.Fatalf("healthy collective efficiency = %v", eff)
-	}
-	// Kill every rail link of one server: its ring hop can still go via the
-	// other rail, so efficiency holds; kill both and the ring stalls.
-	srv := n.DevicesOfKind(topology.GPUServer)[0]
-	for _, np := range n.Neighbors(srv.ID) {
-		down[np.Link.ID] = true
-	}
-	r.Invalidate()
-	a = r.Evaluate(tm)
-	if eff := CollectiveEfficiency(a); eff != 0 {
-		t.Fatalf("efficiency %v with a fully disconnected server", eff)
-	}
-	if CollectiveEfficiency(Assessment{}) != 0 {
-		t.Fatal("empty assessment efficiency")
+	if u.String() == "" {
+		t.Error("matrix string")
 	}
 }
 
@@ -211,7 +161,7 @@ func TestLatencyModelTail(t *testing.T) {
 	n := leafSpine(t, 2, 2, 2, 1)
 	r := NewRouter(n, nil)
 	tm := UniformMatrix(n, 100)
-	a := r.Evaluate(tm)
+	a := evaluate(r, tm)
 	lm := DefaultLatencyModel()
 
 	clean := lm.WorstPairLatency(r, tm, a, nil)

@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"repro/internal/topology"
 )
@@ -51,102 +50,4 @@ func UniformMatrix(net *topology.Network, totalGbps float64) TrafficMatrix {
 		}
 	}
 	return tm
-}
-
-// PermutationMatrix sends perHostGbps from each host to one partner drawn
-// from a seeded random permutation (avoiding self-pairs) — the adversarial
-// matrix expander-topology papers evaluate.
-func PermutationMatrix(net *topology.Network, perHostGbps float64, seed uint64) TrafficMatrix {
-	hosts := net.Hosts()
-	n := len(hosts)
-	tm := TrafficMatrix{Name: "permutation"}
-	if n < 2 {
-		return tm
-	}
-	rng := rand.New(rand.NewPCG(seed, 0x7ea))
-	perm := rng.Perm(n)
-	// Resolve self-pairs by rotating with the next index.
-	for i := 0; i < n; i++ {
-		if perm[i] == i {
-			j := (i + 1) % n
-			perm[i], perm[j] = perm[j], perm[i]
-		}
-	}
-	for i, j := range perm {
-		if i == j {
-			continue
-		}
-		tm.Demands = append(tm.Demands, Demand{Src: hosts[i].ID, Dst: hosts[j].ID, Gbps: perHostGbps})
-	}
-	return tm
-}
-
-// SkewedMatrix concentrates traffic: frac of totalGbps goes uniformly among
-// the first heavyCount hosts (elephants), the rest spreads over everyone.
-func SkewedMatrix(net *topology.Network, totalGbps, frac float64, heavyCount int) TrafficMatrix {
-	hosts := net.Hosts()
-	n := len(hosts)
-	tm := TrafficMatrix{Name: "skewed"}
-	if n < 2 {
-		return tm
-	}
-	if heavyCount > n {
-		heavyCount = n
-	}
-	if heavyCount >= 2 {
-		heavy := totalGbps * frac / float64(heavyCount*(heavyCount-1))
-		for i := 0; i < heavyCount; i++ {
-			for j := 0; j < heavyCount; j++ {
-				if i != j {
-					tm.Demands = append(tm.Demands, Demand{Src: hosts[i].ID, Dst: hosts[j].ID, Gbps: heavy})
-				}
-			}
-		}
-	}
-	light := totalGbps * (1 - frac) / float64(n*(n-1))
-	for _, s := range hosts {
-		for _, d := range hosts {
-			if s != d {
-				tm.Demands = append(tm.Demands, Demand{Src: s.ID, Dst: d.ID, Gbps: light})
-			}
-		}
-	}
-	tm.Name = "skewed"
-	return tm
-}
-
-// RingAllReduceMatrix models synchronous data-parallel training on a GPU
-// cluster: every GPU server streams perServerGbps to its ring successor.
-// With rail-optimized fabrics, one down rail link stalls its server's
-// contribution — which is the paper's AI-cluster availability dilemma (§1):
-// the collective runs at the speed of the slowest participant.
-func RingAllReduceMatrix(net *topology.Network, perServerGbps float64) TrafficMatrix {
-	gpus := net.DevicesOfKind(topology.GPUServer)
-	tm := TrafficMatrix{Name: "ring-allreduce"}
-	n := len(gpus)
-	if n < 2 {
-		return tm
-	}
-	for i, s := range gpus {
-		tm.Demands = append(tm.Demands, Demand{
-			Src: s.ID, Dst: gpus[(i+1)%n].ID, Gbps: perServerGbps,
-		})
-	}
-	return tm
-}
-
-// CollectiveEfficiency reduces an assessment of a ring all-reduce to the
-// effective training throughput: the minimum satisfaction across
-// participants (the ring moves at the slowest link's pace).
-func CollectiveEfficiency(a Assessment) float64 {
-	if len(a.PerDemand) == 0 {
-		return 0
-	}
-	min := 1.0
-	for _, s := range a.PerDemand {
-		if s < min {
-			min = s
-		}
-	}
-	return min
 }

@@ -102,7 +102,7 @@ func TestActuatorChaosNeverWedges(t *testing.T) {
 	}
 	// Every drain is held by an in-flight work item — watchdog force-fails
 	// released theirs.
-	if w.Router.DrainedCount() != w.Ctrl.HeldDrains() {
-		t.Fatalf("leaked drains: router=%d held=%d", w.Router.DrainedCount(), w.Ctrl.HeldDrains())
+	if drainedLinks(w) != w.Ctrl.HeldDrains() {
+		t.Fatalf("leaked drains: router=%d held=%d", drainedLinks(w), w.Ctrl.HeldDrains())
 	}
 }

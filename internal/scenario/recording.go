@@ -203,7 +203,11 @@ func (fr *fleetRecording) Close(rep *fleet.Report) (*flightrec.Summary, error) {
 
 // ReplayFleetReport reconstructs the fleet's end-of-run report from a
 // replayed recording — no simulation. Its Fingerprint must equal the live
-// run's, which is the F8 record→replay acceptance check.
+// run's, which is the F8 record→replay acceptance check that
+// TestFleetRecordingReplays (run by make replay-diff) makes; no production
+// code replays a fleet report.
+//
+//lint:allow deadexport TestFleetRecordingReplays, the F8 check make replay-diff runs
 func ReplayFleetReport(sum *flightrec.Summary) (*fleet.Report, error) {
 	geti := func(shard int, key string) (int64, error) {
 		kv, ok := sum.StateKV(shard, key)

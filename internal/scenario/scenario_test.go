@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/routing"
 	"repro/internal/sim"
+	"repro/internal/workforce"
 )
 
 func TestBuildStandardWorld(t *testing.T) {
@@ -18,7 +19,16 @@ func TestBuildStandardWorld(t *testing.T) {
 	if len(w.Fleet.Units()) == 0 {
 		t.Fatal("no robots deployed")
 	}
-	if len(w.Crew.Techs()) != 2 {
+	// Count the crew by reserving every idle technician, then free them.
+	var techs []*workforce.Technician
+	for tech := w.Crew.FindTech(); tech != nil; tech = w.Crew.FindTech() {
+		tech.Reserve()
+		techs = append(techs, tech)
+	}
+	for _, tech := range techs {
+		tech.Release()
+	}
+	if len(techs) != 2 {
 		t.Fatal("techs")
 	}
 	w.Run(10 * sim.Day)
@@ -27,13 +37,6 @@ func TestBuildStandardWorld(t *testing.T) {
 	}
 	if a := w.TrafficAvailability(routing.UniformMatrix(w.Net, 100)); a < 0.99 {
 		t.Fatalf("fresh world availability %v", a)
-	}
-}
-
-func TestReplicate(t *testing.T) {
-	wf := Replicate([]uint64{1, 2, 3}, func(seed uint64) float64 { return float64(seed) })
-	if wf.N() != 3 || wf.Mean() != 2 {
-		t.Fatalf("replicate: %v", wf)
 	}
 }
 

@@ -269,15 +269,5 @@ func (w *World) TrafficAvailability(tm routing.TrafficMatrix) float64 {
 	return w.Router.EvaluateInto(&w.ws, tm).Availability()
 }
 
-// Replicate runs fn for each seed and returns per-seed results; it is the
-// multi-seed replication helper every experiment uses.
-func Replicate(seeds []uint64, fn func(seed uint64) float64) *metrics.Welford {
-	var w metrics.Welford
-	for _, s := range seeds {
-		w.Add(fn(s))
-	}
-	return &w
-}
-
 // DefaultSeeds is the standard replication set.
 var DefaultSeeds = []uint64{11, 23, 47}

@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dist is a one-dimensional probability distribution. Sample draws from it
@@ -203,31 +202,6 @@ func MeanDuration(d Dist) Time {
 		return 0
 	}
 	return Time(v * float64(Second))
-}
-
-// Quantiles returns the q-quantiles (each in [0,1]) of n Monte-Carlo draws
-// from d using stream s. It is a test and calibration helper.
-func Quantiles(d Dist, s *Stream, n int, qs ...float64) []float64 {
-	if n <= 0 {
-		n = 1000
-	}
-	draws := make([]float64, n)
-	for i := range draws {
-		draws[i] = d.Sample(s)
-	}
-	sort.Float64s(draws)
-	out := make([]float64, len(qs))
-	for i, q := range qs {
-		idx := int(q * float64(n-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= n {
-			idx = n - 1
-		}
-		out[i] = draws[idx]
-	}
-	return out
 }
 
 // String implementations make configuration dumps readable.

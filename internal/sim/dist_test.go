@@ -204,18 +204,6 @@ func TestPickWeighted(t *testing.T) {
 	}
 }
 
-func TestQuantiles(t *testing.T) {
-	s := newTestStream(12)
-	qs := Quantiles(Uniform{0, 1}, s, 50000, 0.0, 0.5, 1.0)
-	if qs[0] > 0.01 || math.Abs(qs[1]-0.5) > 0.02 || qs[2] < 0.99 {
-		t.Fatalf("uniform quantiles off: %v", qs)
-	}
-	qs = Quantiles(Const(3), s, 0, 0.5) // n<=0 uses default
-	if qs[0] != 3 {
-		t.Fatalf("const quantile = %v", qs[0])
-	}
-}
-
 func TestDistStrings(t *testing.T) {
 	for _, c := range []struct {
 		d    interface{ String() string }

@@ -109,9 +109,6 @@ func NewEngine(seed uint64) *Engine {
 // Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
-// Seed returns the root seed the engine was created with.
-func (e *Engine) Seed() uint64 { return e.seed }
-
 // Fired returns the number of events executed so far.
 func (e *Engine) Fired() uint64 { return e.fired }
 
@@ -236,9 +233,6 @@ func (e *Engine) RunUntil(deadline Time) {
 		e.now = deadline
 	}
 }
-
-// Run fires events until the queue is empty.
-func (e *Engine) Run() { e.RunUntil(Forever) }
 
 // RNG returns the named pseudo-random stream, creating it on first use.
 // Streams are independent of one another and of scheduling order: the stream

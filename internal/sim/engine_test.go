@@ -15,7 +15,7 @@ func TestEngineFiresInTimeOrder(t *testing.T) {
 		at := at
 		e.Schedule(at, "ev", func() { got = append(got, at) })
 	}
-	e.Run()
+	e.RunUntil(Forever)
 	if len(got) != 5 {
 		t.Fatalf("fired %d events, want 5", len(got))
 	}
@@ -36,7 +36,7 @@ func TestEngineSimultaneousEventsFIFO(t *testing.T) {
 		i := i
 		e.Schedule(Second, "same-instant", func() { got = append(got, i) })
 	}
-	e.Run()
+	e.RunUntil(Forever)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-instant events not FIFO: %v", got)
@@ -47,7 +47,7 @@ func TestEngineSimultaneousEventsFIFO(t *testing.T) {
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.Schedule(2*Second, "later", func() {})
-	e.Run()
+	e.RunUntil(Forever)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -69,7 +69,7 @@ func TestEventCancel(t *testing.T) {
 	if ev.Cancel() {
 		t.Fatal("second Cancel returned true")
 	}
-	e.Run()
+	e.RunUntil(Forever)
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
@@ -86,7 +86,7 @@ func TestEventCancelMiddleOfQueue(t *testing.T) {
 	c := e.Schedule(3*Second, "c", func() { got = append(got, "c") })
 	_ = a
 	b.Cancel()
-	e.Run()
+	e.RunUntil(Forever)
 	if fmt.Sprint(got) != "[a c]" {
 		t.Fatalf("got %v, want [a c]", got)
 	}
@@ -99,7 +99,7 @@ func TestAfterSchedulesRelative(t *testing.T) {
 	e.Schedule(10*Second, "outer", func() {
 		e.After(5*Second, "inner", func() { at = e.Now() })
 	})
-	e.Run()
+	e.RunUntil(Forever)
 	if at != 15*Second {
 		t.Fatalf("inner fired at %v, want 15s", at)
 	}
@@ -230,7 +230,7 @@ func TestEventOrderingProperty(t *testing.T) {
 			i := i
 			e.Schedule(at, "p", func() { fired = append(fired, rec{at, i}) })
 		}
-		e.Run()
+		e.RunUntil(Forever)
 		if len(fired) != len(offsets) {
 			return false
 		}
@@ -264,7 +264,7 @@ func TestCancelSubsetProperty(t *testing.T) {
 				}
 			}
 		}
-		e.Run()
+		e.RunUntil(Forever)
 		return firedCount == len(offsets)-cancelled
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -278,7 +278,7 @@ func TestStaleHandleIsInertAfterRecycle(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
 	h := e.Schedule(Second, "first", func() { fired++ })
-	e.Run()
+	e.RunUntil(Forever)
 	h2 := e.Schedule(2*Second, "second", func() { fired++ })
 	if h.Pending() {
 		t.Fatal("fired event still pending via stale handle")
@@ -289,7 +289,7 @@ func TestStaleHandleIsInertAfterRecycle(t *testing.T) {
 	if !h2.Pending() {
 		t.Fatal("new event not pending")
 	}
-	e.Run()
+	e.RunUntil(Forever)
 	if fired != 2 {
 		t.Fatalf("fired = %d, want 2", fired)
 	}
@@ -313,10 +313,10 @@ func TestScheduleSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.After(Time(i)*Millisecond, "warm", fn)
 	}
-	e.Run()
+	e.RunUntil(Forever)
 	allocs := testing.AllocsPerRun(200, func() {
 		e.After(Millisecond, "steady", fn)
-		e.Run()
+		e.RunUntil(Forever)
 	})
 	if allocs != 0 {
 		t.Fatalf("schedule+fire allocated %.1f/op in steady state", allocs)
@@ -332,7 +332,7 @@ func TestStepSteadyStateZeroAlloc(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		e.After(Time(i)*Millisecond, "warm", fn)
 	}
-	e.Run()
+	e.RunUntil(Forever)
 	allocs := testing.AllocsPerRun(200, func() {
 		e.After(Millisecond, "one", fn)
 		if !e.Step() {
@@ -363,24 +363,11 @@ func TestTimeFormatting(t *testing.T) {
 }
 
 func TestTimeArithmetic(t *testing.T) {
-	a := At(0).Add(3 * 3600 * 1e9)
-	if a != 3*Hour {
-		t.Fatalf("Add: got %v", a)
-	}
 	if d := (5 * Hour).Sub(2 * Hour); d.Hours() != 3 {
 		t.Fatalf("Sub: got %v", d)
 	}
-	if !(Hour).Before(2 * Hour) {
-		t.Fatal("Before failed")
-	}
-	if !(2 * Hour).After(Hour) {
-		t.Fatal("After failed")
-	}
 	if (36 * Hour).Days() != 1.5 {
 		t.Fatalf("Days: got %v", (36 * Hour).Days())
-	}
-	if (90 * Second).Seconds() != 90 {
-		t.Fatalf("Seconds: got %v", (90 * Second).Seconds())
 	}
 	if (90 * Minute).Hours() != 1.5 {
 		t.Fatalf("Hours: got %v", (90 * Minute).Hours())
@@ -405,10 +392,10 @@ func BenchmarkEngineScheduleAndFire(b *testing.B) {
 	e := NewEngine(1)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(Time(i%1000)*Microsecond, "bench", func() {})
+		e.After(Time(i%1000)*Millisecond/1000, "bench", func() {})
 		if e.Pending() > 10000 {
 			e.RunUntil(e.Now() + Millisecond)
 		}
 	}
-	e.Run()
+	e.RunUntil(Forever)
 }

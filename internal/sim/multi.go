@@ -47,11 +47,9 @@ type MultiEngine struct {
 // selfmaintlint crossshard analyzer enforces that Engine() escapes are
 // build-time wiring only.
 type Shard struct {
-	id     int
 	eng    *Engine
 	me     *MultiEngine
 	outbox []crossEvent
-	sent   uint64
 }
 
 // crossEvent is one buffered cross-shard delivery.
@@ -96,7 +94,7 @@ func NewMultiEngine(seed uint64, shards int, lookahead Time, workers int) *Multi
 	me := &MultiEngine{lookahead: lookahead, workers: workers}
 	me.shards = make([]*Shard, shards)
 	for i := range me.shards {
-		me.shards[i] = &Shard{id: i, eng: NewEngine(ShardSeed(seed, i)), me: me}
+		me.shards[i] = &Shard{eng: NewEngine(ShardSeed(seed, i)), me: me}
 	}
 	return me
 }
@@ -109,9 +107,6 @@ func (me *MultiEngine) Workers() int { return me.workers }
 
 // Now returns the barrier clock: the horizon of the last completed epoch.
 func (me *MultiEngine) Now() Time { return me.now }
-
-// Lookahead returns the minimum cross-shard delivery delay.
-func (me *MultiEngine) Lookahead() Time { return me.lookahead }
 
 // Epochs returns how many epoch barriers have completed.
 func (me *MultiEngine) Epochs() uint64 { return me.epochs }
@@ -144,12 +139,6 @@ func (me *MultiEngine) SetBarrierHook(fn func(epoch uint64, now Time)) {
 // analyzer audits every use outside package sim).
 func (me *MultiEngine) Shard(i int) *Shard { return me.shards[i] }
 
-// ID returns the shard's index.
-func (s *Shard) ID() int { return s.id }
-
-// Sent returns how many cross-shard events this shard has posted.
-func (s *Shard) Sent() uint64 { return s.sent }
-
 // Engine returns the shard's local engine, for build-time wiring of the
 // region model that lives on this shard. Reaching through it into another
 // shard mid-run breaks the isolation invariant (crossshard analyzer).
@@ -170,7 +159,6 @@ func (s *Shard) Send(dst int, delay Time, name string, fn func()) {
 	if delay < s.me.lookahead {
 		panic(fmt.Sprintf("sim: cross-shard send %q with delay %v below lookahead %v", name, delay, s.me.lookahead))
 	}
-	s.sent++
 	s.outbox = append(s.outbox, crossEvent{dst: dst, at: s.eng.Now() + delay, name: name, fn: fn})
 }
 
@@ -221,9 +209,6 @@ func (me *MultiEngine) RunUntil(deadline Time) {
 		}
 	}
 }
-
-// Run advances until every shard's queue is empty.
-func (me *MultiEngine) Run() { me.RunUntil(Forever) }
 
 // runEpoch drains every shard up to horizon. Shards are partitioned
 // round-robin across at most `workers` goroutines; with one worker (or one

@@ -24,7 +24,7 @@ func toyShardModel(me *MultiEngine, interval Time, sends bool) []*strings.Builde
 				dst := (i + 1) % me.Shards()
 				v := draw
 				from := i
-				s.Send(dst, me.Lookahead()+Time(draw)*Millisecond, "toy-cross", func() {
+				s.Send(dst, me.lookahead+Time(draw)*Millisecond, "toy-cross", func() {
 					fmt.Fprintf(traces[dst], "t=%v cross from=%d v=%d\n", me.Shard(dst).Engine().Now(), from, v)
 				})
 			}
@@ -79,8 +79,8 @@ func TestSingleShardMatchesPlainEngine(t *testing.T) {
 	if got := b.String(); got != plain {
 		t.Fatalf("one-shard multi-engine diverged from plain engine:\nplain:\n%s\nsharded:\n%s", plain, got)
 	}
-	if me.Shard(0).Engine().Seed() != 42 {
-		t.Fatalf("ShardSeed(root, 0) = %d, want the root seed", me.Shard(0).Engine().Seed())
+	if me.Shard(0).Engine().seed != 42 {
+		t.Fatalf("ShardSeed(root, 0) = %d, want the root seed", me.Shard(0).Engine().seed)
 	}
 }
 

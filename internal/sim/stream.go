@@ -76,11 +76,6 @@ func (s *Stream) Triangular(lo, mode, hi float64) float64 {
 	return hi - math.Sqrt((1-u)*(hi-lo)*(hi-mode))
 }
 
-// Jitter returns base scaled by a uniform factor in [1-frac, 1+frac].
-func (s *Stream) Jitter(base, frac float64) float64 {
-	return base * (1 + frac*(2*s.Float64()-1))
-}
-
 // PickWeighted returns an index in [0, len(weights)) drawn proportionally to
 // the weights. Non-positive weights are treated as zero; if all weights are
 // zero it returns 0.

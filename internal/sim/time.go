@@ -25,14 +25,11 @@ type Time int64
 // Common virtual-time unit helpers. A simulated Day is exactly 24 hours;
 // simulations do not observe DST or leap seconds.
 const (
-	Nanosecond  = Time(time.Nanosecond)
-	Microsecond = Time(time.Microsecond)
 	Millisecond = Time(time.Millisecond)
 	Second      = Time(time.Second)
 	Minute      = Time(time.Minute)
 	Hour        = Time(time.Hour)
 	Day         = 24 * Hour
-	Week        = 7 * Day
 	Year        = 365 * Day
 )
 
@@ -40,23 +37,8 @@ const (
 // It is used as the deadline for unbounded Run calls.
 const Forever = Time(1<<63 - 1)
 
-// At returns the instant d after the epoch.
-func At(d time.Duration) Time { return Time(d) }
-
-// Add returns the instant d after t.
-func (t Time) Add(d time.Duration) Time { return t + Time(d) }
-
 // Sub returns the duration t-u.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
-
-// Before reports whether t is strictly earlier than u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t is strictly later than u.
-func (t Time) After(u Time) bool { return t > u }
-
-// Seconds returns t as a floating-point number of seconds since the epoch.
-func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Hours returns t as a floating-point number of hours since the epoch.
 func (t Time) Hours() float64 { return float64(t) / float64(Hour) }

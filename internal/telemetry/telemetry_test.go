@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/bus"
 	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -37,11 +39,20 @@ func separableLink(t *testing.T, n *topology.Network) *topology.Link {
 	return nil
 }
 
+// alertsOf attaches m to a fresh bus and returns the alerts it will
+// publish on sense.alert, the monitor's only alert path.
+func alertsOf(eng *sim.Engine, m *Monitor) *[]bus.Alert {
+	b := bus.New(eng)
+	m.PublishTo(b)
+	var alerts []bus.Alert
+	b.Subscribe(bus.TopicAlert, func(ev bus.Event) { alerts = append(alerts, ev.Payload.(bus.Alert)) })
+	return &alerts
+}
+
 func TestDownAndRecoveredAlerts(t *testing.T) {
 	eng, n, inj, m := setup(t, 1)
 	l := separableLink(t, n)
-	var alerts []Alert
-	m.OnAlert(func(a Alert) { alerts = append(alerts, a) })
+	got := alertsOf(eng, m)
 
 	eng.Schedule(sim.Hour, "break", func() { inj.InduceFault(l, faults.XcvrDead) })
 	eng.Schedule(2*sim.Hour, "fix", func() {
@@ -51,13 +62,14 @@ func TestDownAndRecoveredAlerts(t *testing.T) {
 	})
 	eng.RunUntil(3 * sim.Hour)
 
+	alerts := *got
 	if len(alerts) != 2 {
 		t.Fatalf("alerts = %v, want down+recovered", alerts)
 	}
-	if alerts[0].Kind != AlertLinkDown || alerts[0].At != sim.Hour {
+	if alerts[0].Kind != bus.AlertLinkDown || alerts[0].At != sim.Hour {
 		t.Fatalf("first alert = %v", alerts[0])
 	}
-	if alerts[1].Kind != AlertLinkRecovered {
+	if alerts[1].Kind != bus.AlertLinkRecovered {
 		t.Fatalf("second alert = %v", alerts[1])
 	}
 	c := m.Counters(l.ID)
@@ -72,12 +84,7 @@ func TestDownAndRecoveredAlerts(t *testing.T) {
 func TestFlapDetectionThreshold(t *testing.T) {
 	eng, n, inj, m := setup(t, 2)
 	l := separableLink(t, n)
-	var flappingAlerts []Alert
-	m.OnAlert(func(a Alert) {
-		if a.Kind == AlertLinkFlapping {
-			flappingAlerts = append(flappingAlerts, a)
-		}
-	})
+	got := alertsOf(eng, m)
 	// Induce a gray failure. Force flapping manifestation via config in the
 	// injector is already done (DownManifest default 0.15 for contamination);
 	// retry induce until it manifests as flapping.
@@ -91,6 +98,12 @@ func TestFlapDetectionThreshold(t *testing.T) {
 	// Flap episodes arrive every ~10-30 min; threshold is 3 in 30 min, so
 	// detection may take a few hours of episodes.
 	eng.RunUntil(48 * sim.Hour)
+	var flappingAlerts []bus.Alert
+	for _, a := range *got {
+		if a.Kind == bus.AlertLinkFlapping {
+			flappingAlerts = append(flappingAlerts, a)
+		}
+	}
 	if len(flappingAlerts) == 0 {
 		t.Fatal("flap detector never fired in 48h of a flapping link")
 	}
@@ -132,8 +145,7 @@ func TestFlapWindowCounting(t *testing.T) {
 func TestFlapFlagResetOnRecovery(t *testing.T) {
 	eng, n, _, m := setup(t, 4)
 	l := separableLink(t, n)
-	var kinds []AlertKind
-	m.OnAlert(func(a Alert) { kinds = append(kinds, a.Kind) })
+	got := alertsOf(eng, m)
 	for i := 0; i < 3; i++ {
 		m.LinkFlapped(l, sim.Second, 0.4, eng.Now())
 	}
@@ -149,8 +161,8 @@ func TestFlapFlagResetOnRecovery(t *testing.T) {
 		m.LinkFlapped(l, sim.Second, 0.4, eng.Now())
 	}
 	flapAlerts := 0
-	for _, k := range kinds {
-		if k == AlertLinkFlapping {
+	for _, a := range *got {
+		if a.Kind == bus.AlertLinkFlapping {
 			flapAlerts++
 		}
 	}
@@ -184,8 +196,8 @@ func TestSnapshotFeatures(t *testing.T) {
 	if f.HoursSince != 0 {
 		t.Errorf("HoursSince = %g", f.HoursSince)
 	}
-	if len(f.Vector()) != len(FeatureNames()) {
-		t.Error("vector/names length mismatch")
+	if len(f.Vector()) != reflect.TypeOf(f).NumField() {
+		t.Error("Vector does not cover every feature")
 	}
 }
 
@@ -205,11 +217,11 @@ func TestHistoryPruning(t *testing.T) {
 
 func TestAlertStrings(t *testing.T) {
 	_, n, _, _ := setup(t, 7)
-	a := Alert{Kind: AlertLinkDown, Link: n.Links[0], At: sim.Hour}
+	a := bus.Alert{Kind: bus.AlertLinkDown, Link: n.Links[0], At: sim.Hour}
 	if a.String() == "" {
 		t.Error("empty alert string")
 	}
-	if AlertLinkFlapping.String() != "link-flapping" || AlertKind(9).String() == "" {
+	if bus.AlertLinkFlapping.String() != "link-flapping" || bus.AlertKind(9).String() == "" {
 		t.Error("alert kind names")
 	}
 }

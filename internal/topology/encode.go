@@ -62,12 +62,6 @@ func (n *Network) MarshalJSON() ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// WriteJSON streams the network's wire form to w.
-func (n *Network) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(n)
-}
-
 // DecodeNetwork reconstructs a network from its wire form: devices are
 // re-created at their locations, links re-connected with their recorded
 // cable classes and capacities, and the layout re-derives cable runs and

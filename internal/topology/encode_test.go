@@ -17,7 +17,7 @@ func TestNetworkJSONRoundTrip(t *testing.T) {
 			})
 		},
 		"jellyfish": func() (*Network, error) {
-			cfg := DefaultJellyfish()
+			cfg := jellyfishConfig()
 			cfg.Switches = 12
 			cfg.FabricDegree = 4
 			cfg.HostsPerSwitch = 2
@@ -30,7 +30,7 @@ func TestNetworkJSONRoundTrip(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var buf bytes.Buffer
-		if err := orig.WriteJSON(&buf); err != nil {
+		if err := json.NewEncoder(&buf).Encode(orig); err != nil {
 			t.Fatalf("%s: encode: %v", name, err)
 		}
 		got, err := DecodeNetwork(&buf)
@@ -67,7 +67,7 @@ func TestNetworkJSONRoundTrip(t *testing.T) {
 			}
 		}
 		// Graph invariants survive.
-		if got.Connected(nil) != orig.Connected(nil) {
+		if connected(got) != connected(orig) {
 			t.Fatalf("%s: connectivity changed", name)
 		}
 	}

@@ -15,14 +15,6 @@ type JellyfishConfig struct {
 	Seed           uint64
 }
 
-// DefaultJellyfish returns a 40-switch jellyfish with fabric degree 8.
-func DefaultJellyfish() JellyfishConfig {
-	return JellyfishConfig{
-		Switches: 40, FabricDegree: 8, HostsPerSwitch: 8,
-		FabricGbps: 400, HostGbps: 100, Seed: 1,
-	}
-}
-
 // NewJellyfish builds a Jellyfish fabric (Singla et al., NSDI'12): switches
 // wired as a random regular graph. The construction uses stub matching with
 // deterministic edge-swap fixups, so the same seed yields the same wiring.
@@ -60,14 +52,6 @@ type XpanderConfig struct {
 	FabricGbps     float64
 	HostGbps       float64
 	Seed           uint64
-}
-
-// DefaultXpander returns a d=8, lift=5 Xpander (45 switches).
-func DefaultXpander() XpanderConfig {
-	return XpanderConfig{
-		Degree: 8, Lift: 5, HostsPerSwitch: 8,
-		FabricGbps: 400, HostGbps: 100, Seed: 1,
-	}
 }
 
 // NewXpander builds an Xpander fabric (Valadarsky et al., CoNEXT'16) by

@@ -74,15 +74,6 @@ type LeafSpineConfig struct {
 	HostGbps     float64
 }
 
-// DefaultLeafSpine returns a 16-leaf, 4-spine pod with 32 hosts per leaf
-// and two parallel 400G uplinks per leaf-spine pair.
-func DefaultLeafSpine() LeafSpineConfig {
-	return LeafSpineConfig{
-		Leaves: 16, Spines: 4, HostsPerLeaf: 32, Uplinks: 2,
-		FabricGbps: 400, HostGbps: 100,
-	}
-}
-
 // NewLeafSpine builds a two-tier leaf-spine fabric: every leaf (one per
 // rack) connects to every spine with cfg.Uplinks parallel links. Leaves and
 // their hosts fill rows of 8 racks; spines sit end-of-row (racks 8+) spread

@@ -44,9 +44,6 @@ func (c CableClass) NeedsTransceiver() bool { return c == FiberLC || c == FiberM
 // field, making end-face inspection and cleaning a meaningful repair.
 func (c CableClass) Separable() bool { return c == FiberLC || c == FiberMPO }
 
-// Optical reports whether the medium is fiber.
-func (c CableClass) Optical() bool { return c == AOC || c == FiberLC || c == FiberMPO }
-
 // DefaultCores returns the number of fiber cores (channels) in a cable of
 // this class at the given link speed: one core carries 100 Gbps, so an
 // 800 Gbps MPO trunk has 8 cores (§3.2).

@@ -91,17 +91,6 @@ func (p *Port) Name() string {
 	return p.name
 }
 
-// Peer returns the port at the other end of p's link, or nil if unlinked.
-func (p *Port) Peer() *Port {
-	if p.Link == nil {
-		return nil
-	}
-	if p.Link.A == p {
-		return p.Link.B
-	}
-	return p.Link.A
-}
-
 // Link is a bidirectional physical link: two ports joined by a cable, with
 // transceivers at the ends where the medium requires them.
 type Link struct {
@@ -120,21 +109,6 @@ func (l *Link) Name() string {
 		l.name = l.A.Name() + "<->" + l.B.Name()
 	}
 	return l.name
-}
-
-// Devices returns the two endpoint devices.
-func (l *Link) Devices() (*Device, *Device) { return l.A.Device, l.B.Device }
-
-// Other returns the endpoint of l opposite to device d, or nil if d is not
-// an endpoint.
-func (l *Link) Other(d DeviceID) *Device {
-	switch d {
-	case l.A.Device.ID:
-		return l.B.Device
-	case l.B.Device.ID:
-		return l.A.Device
-	}
-	return nil
 }
 
 // HasSeparableFiber reports whether the link's cable detaches from its

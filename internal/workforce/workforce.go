@@ -136,9 +136,6 @@ func NewCrew(eng *sim.Engine, net *topology.Network, inj *faults.Injector, pool 
 	return c
 }
 
-// Techs returns the crew.
-func (c *Crew) Techs() []*Technician { return c.techs }
-
 // FindTech returns an idle technician, or nil. Shift status does not gate
 // availability — off-shift dispatch just costs the on-call delay.
 func (c *Crew) FindTech() *Technician {
@@ -183,12 +180,6 @@ func (c *Crew) actionDuration(a faults.Action) sim.Time {
 		d = c.cfg.ReplaceSwitch
 	}
 	return sim.SampleDuration(d, c.rng())
-}
-
-// EstimateDuration predicts dispatch+work time for scheduling.
-func (c *Crew) EstimateDuration(a faults.Action) sim.Time {
-	base := sim.MeanDuration(c.cfg.DispatchOverhead)*3600 + sim.MeanDuration(actionDist(c.cfg, a))
-	return base
 }
 
 // EstimateExecDuration bounds the nominal end-to-end latency of one Execute

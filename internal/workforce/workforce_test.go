@@ -223,13 +223,13 @@ func TestBusyTechPanics(t *testing.T) {
 
 func TestEstimateAndStrings(t *testing.T) {
 	w := newWorld(t, 9, 1, nil)
-	if w.crew.EstimateDuration(faults.Reseat) <= 0 {
+	if w.crew.EstimateExecDuration(faults.Reseat) <= 0 {
 		t.Fatal("estimate")
 	}
-	if w.crew.EstimateDuration(faults.ReplaceCable) <= w.crew.EstimateDuration(faults.Reseat) {
+	if w.crew.EstimateExecDuration(faults.ReplaceCable) <= w.crew.EstimateExecDuration(faults.Reseat) {
 		t.Fatal("cable estimate not larger")
 	}
-	tech := w.crew.Techs()[0]
+	tech := w.crew.techs[0]
 	if tech.String() == "" {
 		t.Error("tech string")
 	}
