@@ -337,10 +337,12 @@ func BenchmarkRouterDrainBurst(b *testing.B) {
 // BenchmarkUniformEvaluate measures full-injection uniform evaluation on
 // the F4 xpander build — the maintindex probe that dominated the quick
 // suite before the destination-rooted engine. Sub-benchmarks cover the cold
-// path (every destination rebuilt), the maintindex-style drain/undrain
+// path (every root's structure rebuilt), the maintindex-style drain/undrain
 // sweep step (shelved structures restore via the subgraph signature), the
-// warm steady state (zero allocations), and the cold path on a fat-tree
-// k=12 at 1,000 Gbps — hall-large's daily availability sample.
+// warm steady state (zero allocations), and hall-large's daily availability
+// sample on a fat-tree k=12 at 1,000 Gbps, cold and warm. Every host of both
+// fabrics is single-homed, so its switch is its root: 20 roots serve the
+// xpander's 160 host destinations, and 72 the fat-tree's 432.
 func BenchmarkUniformEvaluate(b *testing.B) {
 	net, err := topology.NewXpander(topology.XpanderConfig{
 		Degree: 9, Lift: 2, HostsPerSwitch: 8,
@@ -383,20 +385,29 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 			_ = r.EvaluateInto(&ws, tm)
 		}
 	})
-	b.Run("cold-fattree-k12", func(b *testing.B) {
-		ft, err := topology.NewFatTree(topology.DefaultFatTree(12))
-		if err != nil {
-			b.Fatal(err)
+	ft, err := topology.NewFatTree(topology.DefaultFatTree(12))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ftm := routing.UniformMatrix(ft, 1000)
+	b.Run("cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm) })
+	b.Run("warm-fattree-k12", func(b *testing.B) {
+		r := routing.NewRouter(ft, nil)
+		var ws routing.Workspace
+		r.EvaluateInto(&ws, ftm)
+		b.ResetTimer()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			_ = r.EvaluateInto(&ws, ftm)
 		}
-		benchCold(b, ft, routing.UniformMatrix(ft, 1000))
 	})
 }
 
-// benchCold evaluates tm with every destination rebuilt on recycled arenas.
-// Each iteration moves one drain around three host links (drain the next,
-// undrain the previous): a host link is tight toward every destination, so
-// every structure is displaced, and with three links no subgraph recurs
-// while the one-slot shelf still holds it — nothing is restored.
+// benchCold evaluates tm with every root's structure rebuilt on recycled
+// arenas. Each iteration moves one drain around three host links (drain the
+// next, undrain the previous): a host link is tight toward every root, so
+// every root's structure is displaced, and with three links no subgraph
+// recurs while the one-slot shelf still holds it — nothing is restored.
 func benchCold(b *testing.B, net *topology.Network, tm routing.TrafficMatrix) {
 	hosts := net.Hosts()
 	var ring [3]topology.LinkID

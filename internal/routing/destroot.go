@@ -8,36 +8,51 @@
 // of small allocations per assessment.
 //
 // The destination-rooted engine serves all sources of one destination off a
-// single shared structure: for each destination it records, per device, the
-// number and length of the device's shortest-path suffixes to the
-// destination over the ECMP DAG, and materializes the suffixes of transit
-// devices — the next hops some device draws suffixes from. Devices are
-// processed in ascending BFS distance, so every suffix is one link
-// prepended to an already-materialized suffix of the next hop. Enumeration
-// follows the exact adjacency order the per-pair DFS uses, and each
-// device's suffix list is capped at maxPaths — which preserves the per-pair
-// path lists bit-for-bit: the first maxPaths paths of the DFS concatenation
-// consume at most the first maxPaths suffixes of each downstream device
-// (see TestDestRootedMatchesPerPairEnumerator). A source's own paths are
-// never stored: consumers read them as segments, a first-hop link
-// followed by a run of a next hop's suffixes, so a device nothing descends
-// through (in every studied fabric, a host) takes no arena space.
+// single shared structure, and one structure serves every destination
+// attached to the same point. Each destination of a matrix resolves to a
+// root from the usability snapshot: a destination with exactly one usable
+// link, to switch t say, is served by t's structure with that link as a
+// tail appended to every path; any other destination (multi-homed, or with
+// no usable link) is its own root, with no tail. This is exact: every path
+// toward such a destination d enters it over its one link, so for every
+// device x ≠ d the distance toward d is one more than toward t, x has the
+// same next hops, and the same capped suffix counts (d and t both count
+// one suffix toward d). Every suffix toward d is thus the matching suffix
+// toward t followed by the tail, and the source t itself has one path, the
+// tail alone. On a fat-tree every host is single-homed, so the roots are
+// the edge switches: a k=12 fabric builds 72 structures for its 432 host
+// destinations.
 //
-// All suffixes of one destination live in a single flat arena of int32 link
+// For each root the structure records, per device, the number and length of
+// the device's shortest-path suffixes to the root over the ECMP DAG, and
+// materializes the suffixes of transit devices — the next hops some device
+// draws suffixes from. Devices are processed in ascending BFS distance, so
+// every suffix is one link prepended to an already-materialized suffix of
+// the next hop. Enumeration follows the exact adjacency order the per-pair
+// DFS uses, and each device's suffix list is capped at maxPaths — which
+// preserves the per-pair path lists bit-for-bit: the first maxPaths paths
+// of the DFS concatenation consume at most the first maxPaths suffixes of
+// each downstream device (see TestDestRootedMatchesPerPairEnumerator). A
+// source's own paths are never stored: consumers read them as segments, a
+// first-hop link followed by a run of a next hop's suffixes and then the
+// tail, so a device nothing descends through (in every studied fabric, a
+// host) takes no arena space.
+//
+// All suffixes toward one root live in a single flat arena of int32 link
 // IDs (per-device offset spans), so a warm evaluation allocates nothing, a
 // rebuild reuses the retained arena, and the garbage collector has no
 // pointers to scan in it.
 //
 // Incremental maintenance extends the router's per-link invalidation: a
-// link transition that can change a destination's DAG shelves that
-// destination's structure instead of discarding it, stamped with the
-// subgraph signature (a Zobrist hash over usable links) it was built under.
-// When the subgraph returns to that exact signature — an undrain restoring
-// the pre-drain fabric, the maintindex sweep's every other step — the
-// shelved structure is restored wholesale, with no re-enumeration at all.
+// link transition that can change a root's DAG shelves that root's
+// structure instead of discarding it, stamped with the subgraph signature
+// (a Zobrist hash over usable links) it was built under. When the subgraph
+// returns to that exact signature — an undrain restoring the pre-drain
+// fabric, the maintindex sweep's every other step — the shelved structure
+// is restored wholesale, with no re-enumeration at all.
 //
-// Rebuilds are independent per destination (pure functions of the distance
-// field, adjacency order and the usable set), so they shard across Workers
+// Rebuilds are independent per root (pure functions of the distance field,
+// adjacency order and the usable set), so they shard across Workers
 // goroutines; worker count is a throughput knob, never a results knob.
 // EvaluateInto adds to every link, in demand order, exactly the values the
 // per-pair paths would, so every float summation order — and therefore the
@@ -55,11 +70,11 @@ import (
 // suffix list is capped at it.
 const maxPaths = 8
 
-// destState is the destination-rooted ECMP structure for one destination.
-// Device d has count[d] shortest-path suffixes toward the destination, of
-// plen[d] links each (its BFS distance at build time). A transit device's
-// suffixes are materialized contiguously in one arena of link IDs, starting
-// at arena[start[d]]; any other device's start is meaningless.
+// destState is the destination-rooted ECMP structure for one root. Device d
+// has count[d] shortest-path suffixes toward the root, of plen[d] links each
+// (its BFS distance at build time). A transit device's suffixes are
+// materialized contiguously in one arena of link IDs, starting at
+// arena[start[d]]; any other device's start is meaningless.
 type destState struct {
 	stamp uint64 // distance-field stamp the structure was built over
 	sig   uint64 // subgraph signature at build time (see subgraphSig)
@@ -69,12 +84,22 @@ type destState struct {
 	plen  []int32
 }
 
-// buildJob is one pending destination rebuild, resolved in prepareDests and
+// destRoute is one destination's resolution: the root whose structure
+// serves it and the tail link that ends every path toward it (-1: none, the
+// destination is its own root). seq is the prepareDests call that resolved
+// it, which also dedups destinations within that call.
+type destRoute struct {
+	seq  uint64
+	root int32
+	tail int32
+}
+
+// buildJob is one pending root rebuild, resolved in prepareDests and
 // executed by buildDest (possibly on a worker goroutine).
 type buildJob struct {
-	dst topology.DeviceID
-	ds  *destState
-	e   distEntry
+	root topology.DeviceID
+	ds   *destState
+	e    distEntry
 }
 
 // destBuilder is per-worker scratch for buildDest: the counting-sort
@@ -121,7 +146,7 @@ func (r *Router) recomputeSubgraphSig() {
 	r.subgraphSig = sig
 }
 
-// shelveDest retires dst's current structure after a transition that may
+// shelveDest retires root's current structure after a transition that may
 // have changed its DAG. The structure is moved to the one-slot shelf rather
 // than discarded: if the subgraph later returns to the structure's build
 // signature (undraining the link it was drained around), it is restored
@@ -129,20 +154,20 @@ func (r *Router) recomputeSubgraphSig() {
 // signature matches the subgraph we just arrived at — the undrain case,
 // where the shelved pre-drain structure is about to become current again —
 // the newer structure is recycled instead.
-func (r *Router) shelveDest(dst topology.DeviceID) {
-	ds := r.destCur[dst]
+func (r *Router) shelveDest(root topology.DeviceID) {
+	ds := r.destCur[root]
 	if ds == nil {
 		return
 	}
-	r.destCur[dst] = nil
-	if old := r.destShelf[dst]; old != nil {
+	r.destCur[root] = nil
+	if old := r.destShelf[root]; old != nil {
 		if old.sig == r.subgraphSig {
 			r.freeStates = append(r.freeStates, ds)
 			return
 		}
 		r.freeStates = append(r.freeStates, old)
 	}
-	r.destShelf[dst] = ds
+	r.destShelf[root] = ds
 }
 
 // takeState returns a destState to rebuild into, recycling retained arenas.
@@ -157,12 +182,35 @@ func (r *Router) takeState() *destState {
 	return &destState{}
 }
 
+// resolveRoot returns the root whose structure serves destination dst and
+// the tail link that ends every path toward it, read from the usability
+// snapshot: a destination with exactly one usable link is served by the
+// link's far end, with the link as its tail; any other destination is its
+// own root, with no tail (-1).
+//
+//selfmaint:hotpath
+func (r *Router) resolveRoot(dst topology.DeviceID) (topology.DeviceID, int32) {
+	root, tail := dst, int32(-1)
+	for _, np := range r.net.Neighbors(dst) {
+		if !r.lastUsable[np.Link.ID] {
+			continue
+		}
+		if tail >= 0 {
+			return dst, -1 // multi-homed
+		}
+		root, tail = np.Peer.ID, int32(np.Link.ID)
+	}
+	return root, tail
+}
+
 // prepareDests makes every destination of the matrix current: distinct
-// destinations are collected in first-appearance order, valid structures
-// are kept, signature-matching shelved structures are restored, and the
-// rest are rebuilt — sharded round-robin across Workers goroutines when
-// more than one rebuild is pending. Rebuilds are pure per-destination
-// functions, so the worker count cannot affect any result.
+// destinations are resolved to their roots in first-appearance order, and
+// each root's valid structure is kept, a signature-matching shelved
+// structure is restored, or the structure is rebuilt — sharded round-robin
+// across Workers goroutines when more than one rebuild is pending. Either
+// way the root's current structure carries its field's stamp from then on,
+// so later destinations with the same root find it valid. Rebuilds are pure
+// per-root functions, so the worker count cannot affect any result.
 //
 //selfmaint:hotpath
 func (r *Router) prepareDests(tm TrafficMatrix) {
@@ -171,36 +219,38 @@ func (r *Router) prepareDests(tm TrafficMatrix) {
 	pending := r.pending[:0]
 	for i := range tm.Demands {
 		dst := tm.Demands[i].Dst
-		if r.destMark[dst] == seq {
+		if r.route[dst].seq == seq {
 			continue
 		}
-		r.destMark[dst] = seq
-		e := r.distEntryFor(dst)
-		cur := r.destCur[dst]
+		root, tail := r.resolveRoot(dst)
+		r.route[dst] = destRoute{seq: seq, root: int32(root), tail: tail}
+		e := r.distEntryFor(root)
+		cur := r.destCur[root]
 		if cur != nil && cur.stamp == e.stamp {
-			continue // still valid: no affecting transition since it was built
+			continue // still valid, or made current earlier in this call
 		}
-		if sh := r.destShelf[dst]; sh != nil && sh.sig == r.subgraphSig {
+		if sh := r.destShelf[root]; sh != nil && sh.sig == r.subgraphSig {
 			// The subgraph is bit-for-bit the one the shelved structure was
 			// built under (identical usable set ⇒ identical distances and
 			// DAG): restore it under the current field's stamp.
 			sh.stamp = e.stamp
-			r.destCur[dst] = sh
-			r.destShelf[dst] = cur // may be nil
+			r.destCur[root] = sh
+			r.destShelf[root] = cur // may be nil
 			continue
 		}
 		ds := r.takeState()
+		ds.stamp = e.stamp // buildDest stamps it too; set now for the destinations after this one
 		//lint:allow hotpathalloc rebuild queue growth; the slice is retained on the router and reused every evaluation
-		pending = append(pending, buildJob{dst: dst, ds: ds, e: e})
-		r.destCur[dst] = ds
+		pending = append(pending, buildJob{root: root, ds: ds, e: e})
+		r.destCur[root] = ds
 		if cur != nil {
 			// Demote the stale structure to the shelf: the subgraph may
 			// return to its build signature (drain/undrain sweeps do).
-			if old := r.destShelf[dst]; old != nil {
-				//lint:allow hotpathalloc free-list growth; bounded by destinations, backing array retained
+			if old := r.destShelf[root]; old != nil {
+				//lint:allow hotpathalloc free-list growth; bounded by roots, backing array retained
 				r.freeStates = append(r.freeStates, old)
 			}
-			r.destShelf[dst] = cur
+			r.destShelf[root] = cur
 		}
 	}
 	r.pending = pending
@@ -214,7 +264,7 @@ func (r *Router) prepareDests(tm TrafficMatrix) {
 	if workers <= 1 {
 		b := r.builderFor(0)
 		for _, j := range pending {
-			r.buildDest(b, j.ds, j.dst, j.e)
+			r.buildDest(b, j.ds, j.root, j.e)
 		}
 		return
 	}
@@ -233,7 +283,7 @@ func (r *Router) runBuilds(pending []buildJob, workers int) {
 			defer wg.Done()
 			for i := w; i < len(pending); i += workers {
 				j := pending[i]
-				r.buildDest(b, j.ds, j.dst, j.e)
+				r.buildDest(b, j.ds, j.root, j.e)
 			}
 		}(w, r.builderFor(w))
 	}
@@ -249,7 +299,7 @@ func (r *Router) builderFor(w int) *destBuilder {
 	return r.builders[w]
 }
 
-// buildDest materializes dst's suffix structure over distance field e.
+// buildDest materializes root's suffix structure over distance field e.
 // Devices are processed in ascending BFS distance (ties in device-ID order,
 // via a counting sort), so each suffix is one link prepended to an
 // already-built suffix of the next hop. Neighbor links are visited in
@@ -260,10 +310,10 @@ func (r *Router) builderFor(w int) *destBuilder {
 //
 // The function only reads shared router state (distance field, adjacency,
 // the usability snapshot) and writes ds, so concurrent builds of different
-// destinations are race-free.
+// roots are race-free.
 //
 //selfmaint:hotpath
-func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID, e distEntry) {
+func (r *Router) buildDest(b *destBuilder, ds *destState, root topology.DeviceID, e distEntry) {
 	nd := len(r.net.Devices)
 	ds.start = grow(ds.start, nd)
 	ds.count = grow(ds.count, nd)
@@ -311,8 +361,8 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 	// so the arena is sized by them, exactly once.
 	total := int32(0)
 	for _, d := range order {
-		if d == dst {
-			ds.count[d] = 1 // one empty suffix: the destination itself
+		if d == root {
+			ds.count[d] = 1 // one empty suffix: the root itself
 			continue
 		}
 		k := int32(dist[d])
@@ -348,7 +398,7 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, dst topology.DeviceID,
 		k, left := ds.plen[d], ds.count[d]
 		ds.start[d] = w
 		if k == 0 {
-			continue // the destination's empty suffix takes no space
+			continue // the root's empty suffix takes no space
 		}
 		for _, np := range r.net.Neighbors(d) {
 			if left == 0 {

@@ -9,7 +9,8 @@ import (
 	"repro/internal/topology"
 )
 
-// buildTopo constructs one of the four studied topology families at modest
+// buildTopo constructs one of the four studied topology families, or a
+// rail-optimized AI cluster whose GPU servers are multi-homed, at modest
 // scale (routing cannot import maintindex's builders: maintindex depends on
 // routing).
 func buildTopo(t *testing.T, kind string) *topology.Network {
@@ -35,6 +36,10 @@ func buildTopo(t *testing.T, kind string) *topology.Network {
 		n, err = topology.NewXpander(topology.XpanderConfig{
 			Degree: 6, Lift: 4, HostsPerSwitch: 3,
 			FabricGbps: 400, HostGbps: 100, Seed: 1,
+		})
+	case "aicluster":
+		n, err = topology.NewAICluster(topology.AIClusterConfig{
+			Servers: 8, RailsPerServer: 3, RailGbps: 400,
 		})
 	default:
 		t.Fatalf("unknown topology kind %q", kind)
@@ -191,22 +196,55 @@ func hostInjection(net *topology.Network) float64 {
 	return total
 }
 
+// endpointMatrix pairs every host with its first attachment switch in both
+// directions and adds three switch↔switch pairs, gbps per demand. It puts
+// sources at a single-homed destination's root, and makes destinations of
+// devices that are other destinations' roots.
+func endpointMatrix(net *topology.Network, gbps float64) TrafficMatrix {
+	tm := TrafficMatrix{Name: "endpoints"}
+	for _, h := range net.Hosts() {
+		sw := net.Neighbors(h.ID)[0].Peer.ID
+		tm.Demands = append(tm.Demands,
+			Demand{Src: h.ID, Dst: sw, Gbps: gbps},
+			Demand{Src: sw, Dst: h.ID, Gbps: gbps})
+	}
+	var switches []topology.DeviceID
+	for _, d := range net.Devices {
+		if d.Kind.IsSwitch() {
+			switches = append(switches, d.ID)
+		}
+	}
+	for i := range 3 {
+		a, b := switches[i], switches[len(switches)-1-i]
+		tm.Demands = append(tm.Demands,
+			Demand{Src: a, Dst: b, Gbps: gbps},
+			Demand{Src: b, Dst: a, Gbps: gbps})
+	}
+	return tm
+}
+
 // Differential property pinning the destination-rooted engine to its
-// executable specification: across topology families × randomized
+// executable specification: across topology families (the four studied
+// ones, whose hosts are single-homed and served by their switch's
+// structure, and an AI cluster, whose multi-homed GPU servers are their own
+// roots until drains and faults leave them one rail) × randomized
 // drain/fault/repair sequences over every link (host links included, so
-// sources lose uplinks and become unreachable) × seeds × three loads, an
+// sources lose uplinks and become unreachable) × seeds × four matrices, an
 // incrementally maintained engine router at every worker count produces
 // Assessments byte-identical to referenceEvaluate over the spec paths of a
-// router that full-flushes after every change. 700 Gbps never overloads a
-// link; full and twice-full host injection do, so both branches of the
-// satisfaction pass and the bottleneck scan's first hop are pinned. Once
-// per step, at full injection, the workers=1 engine's WorstPairLatency must
-// equal specWorstLatency exactly, under 20% loss on one random link and a
-// small loss elsewhere.
+// router that full-flushes after every change. The uniform matrix at 700
+// Gbps never overloads a link; at full and twice-full host injection it
+// does, so both branches of the satisfaction pass and the bottleneck scan's
+// first hop and tail are pinned. The endpoint matrix, at full host
+// injection split over the hosts, overloads host links and puts sources at
+// their destination's root. Once per step, for the full-injection uniform
+// matrix and the endpoint matrix, the workers=1 engine's WorstPairLatency
+// must equal specWorstLatency exactly, under 20% loss on one random link and
+// a small loss elsewhere.
 func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
 	lm := DefaultLatencyModel()
-	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander"} {
+	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander", "aicluster"} {
 		for _, seed := range []uint64{3, 11, 29} {
 			net := buildTopo(t, kind)
 			down := map[topology.LinkID]bool{}
@@ -221,6 +259,7 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 			full := hostInjection(net)
 			const fullLoad = 1 // index of full host injection in tms
 			tms := []TrafficMatrix{UniformMatrix(net, 700), UniformMatrix(net, full), UniformMatrix(net, 2*full)}
+			endpoints := endpointMatrix(net, full/float64(len(net.Hosts())))
 			rng := rand.New(rand.NewPCG(seed, 0xd357))
 			lossRng := rand.New(rand.NewPCG(seed, 0x1055))
 			for step := 0; step < 20; step++ {
@@ -246,9 +285,6 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 					e.InvalidateLink(l.ID)
 				}
 				ref.Invalidate() // the reference always full-flushes
-				// UniformMatrix emits the same pairs at every load, so one
-				// resolution of the spec paths serves all three.
-				paths := specMatrixPaths(ref, tms[0])
 				lossy := net.Links[lossRng.IntN(len(net.Links))].ID
 				loss := func(id topology.LinkID) float64 {
 					if id == lossy {
@@ -256,23 +292,30 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 					}
 					return 0.001 * float64(id%5)
 				}
-				for li, tm := range tms {
+				check := func(tm TrafficMatrix, paths [][]topology.Path, latency bool) {
 					want := referenceEvaluate(net, tm, paths)
 					for i, e := range engines {
 						got := e.EvaluateInto(&wss[i], tm)
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s seed %d step %d %.0f Gbps workers=%d: engine %v != per-pair reference %v",
-								kind, seed, step, tm.TotalGbps(), workerCounts[i], got, want)
+							t.Fatalf("%s seed %d step %d %s %.0f Gbps workers=%d: engine %v != per-pair reference %v",
+								kind, seed, step, tm.Name, tm.TotalGbps(), workerCounts[i], got, want)
 						}
 					}
-					if li != fullLoad {
-						continue
+					if !latency {
+						return
 					}
 					got := lm.WorstPairLatency(engines[0], tm, want, loss)
 					if wantLat := specWorstLatency(lm, net, paths, want, loss); got != wantLat {
-						t.Fatalf("%s seed %d step %d: WorstPairLatency %+v != spec %+v", kind, seed, step, got, wantLat)
+						t.Fatalf("%s seed %d step %d %s: WorstPairLatency %+v != spec %+v", kind, seed, step, tm.Name, got, wantLat)
 					}
 				}
+				// UniformMatrix emits the same pairs at every load, so one
+				// resolution of the spec paths serves all three.
+				paths := specMatrixPaths(ref, tms[0])
+				for li, tm := range tms {
+					check(tm, paths, li == fullLoad)
+				}
+				check(endpoints, specMatrixPaths(ref, endpoints), true)
 			}
 		}
 	}
@@ -344,8 +387,8 @@ func TestDrainSweepWarmZeroAlloc(t *testing.T) {
 }
 
 // Per-function warm-allocation assertions for the engine's hot functions:
-// prepareDests on a fully valid matrix and buildDest into a recycled
-// destState must both be allocation-free.
+// prepareDests on a fully valid matrix, resolveRoot, and buildDest into a
+// recycled destState must all be allocation-free.
 func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	net := buildTopo(t, "leafspine")
 	r := NewRouter(net, nil)
@@ -358,28 +401,37 @@ func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	}
 
 	dst := tm.Demands[0].Dst
-	e := r.distEntryFor(dst)
-	ds := r.destCur[dst]
+	if allocs := testing.AllocsPerRun(50, func() { r.resolveRoot(dst) }); allocs > 0 {
+		t.Fatalf("resolveRoot allocated %.1f/op, want 0", allocs)
+	}
+	root, _ := r.resolveRoot(dst)
+	e := r.distEntryFor(root)
+	ds := r.destCur[root]
 	b := r.builderFor(0)
-	r.buildDest(b, ds, dst, e) // size the builder scratch and arena
-	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(b, ds, dst, e) }); allocs > 0 {
+	r.buildDest(b, ds, root, e) // size the builder scratch and arena
+	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(b, ds, root, e) }); allocs > 0 {
 		t.Fatalf("buildDest into recycled state allocated %.1f/op, want 0", allocs)
 	}
 }
 
 // On a k=4 fat-tree, cross-pod hosts are joined by 2 aggs × 2 cores = 4
-// equal-cost paths of 6 links (host-edge-agg-core-agg-edge-host).
+// equal-cost paths of 6 links (host-edge-agg-core-agg-edge-host). The
+// destination host is single-homed, so its paths are its edge switch's
+// paths of 5 links followed by the host link as the tail.
 func TestFatTreeCrossPodEqualCostPaths(t *testing.T) {
 	net := buildTopo(t, "fattree")
 	r := NewRouter(net, nil)
 	hosts := net.Hosts()
 	d := Demand{Src: hosts[0].ID, Dst: hosts[len(hosts)-1].ID, Gbps: 1}
 	r.prepareDests(TrafficMatrix{Demands: []Demand{d}})
-	ds, n := r.routeCount(d)
+	ds, tail, n := r.routeCount(d)
 	if n != 4 {
 		t.Fatalf("cross-pod equal-cost paths = %d, want 4", n)
 	}
-	if k := ds.plen[d.Src]; k != 6 {
+	if tail < 0 {
+		t.Fatal("single-homed destination resolved with no tail")
+	}
+	if k := ds.plen[d.Src] + 1; k != 6 {
 		t.Fatalf("cross-pod path length = %d, want 6", k)
 	}
 }

@@ -281,13 +281,13 @@ func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 	tm := UniformMatrix(n, 300)
 	var ws Workspace
 	r.EvaluateInto(&ws, tm) // warm caches and free lists
-	d0 := tm.Demands[0]
+	root, _ := r.resolveRoot(tm.Demands[0].Dst)
 
 	// distEntryFor recomputing an evicted field must serve from the
 	// distance free list and the retained BFS queue.
 	if allocs := testing.AllocsPerRun(100, func() {
-		r.evictDist(d0.Dst)
-		r.distEntryFor(d0.Dst)
+		r.evictDist(root)
+		r.distEntryFor(root)
 	}); allocs != 0 {
 		t.Fatalf("evict+recompute distEntryFor allocated %.1f/op", allocs)
 	}
@@ -295,7 +295,7 @@ func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 
 // The invalidation path allocates nothing once warm: a drain → undrain
 // cycle of a fabric link repairs or recomputes distance fields in place, and
-// refilling the fields the undrain evicted serves from the free list.
+// refilling the roots' fields the undrain evicted serves from the free list.
 func TestDrainUndrainCycleZeroAlloc(t *testing.T) {
 	net := buildTopo(t, "fattree")
 	r := NewRouter(net, nil)
@@ -307,7 +307,8 @@ func TestDrainUndrainCycleZeroAlloc(t *testing.T) {
 		r.Drain(l.ID)
 		r.Undrain(l.ID)
 		for _, d := range tm.Demands {
-			r.distEntryFor(d.Dst)
+			root, _ := r.resolveRoot(d.Dst)
+			r.distEntryFor(root)
 		}
 	}
 	r.Drain(l.ID)

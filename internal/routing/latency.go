@@ -102,9 +102,11 @@ func clampLoss(v float64) float64 {
 //
 // Paths are read off the destination-rooted structures as EvaluateInto
 // reads them: for each next hop p of the source, in adjacency order, the
-// first hop to p followed by each of the first c of p's suffixes. Each path
-// is copied into one reused buffer, so PathLatency sees the links of every
-// per-pair path in order.
+// first hop to p followed by each of the first c of p's suffixes toward the
+// destination's root, and then the destination's tail, if it has one; a
+// source at the root has one path, the tail alone. Each path is copied into
+// one reused buffer, so PathLatency sees the links of every per-pair path
+// in order — the tail last, since PathLatency folds in path order.
 func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessment, loss LossFn) Percentiles {
 	util := func(id topology.LinkID) float64 {
 		cap := r.net.Links[id].GbpsCap
@@ -116,12 +118,23 @@ func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessmen
 	r.prepareDests(tm)
 	var worst Percentiles
 	var path topology.Path
+	visit := func() {
+		pc := lm.PathLatency(path, util, loss)
+		worst.P50 = max(worst.P50, pc.P50)
+		worst.P99 = max(worst.P99, pc.P99)
+		worst.P999 = max(worst.P999, pc.P999)
+	}
 	for _, d := range tm.Demands {
-		ds, n := r.routeCount(d)
+		ds, tail, n := r.routeCount(d)
 		if n == 0 {
 			continue
 		}
 		k := ds.plen[d.Src]
+		if k == 0 {
+			path = append(path[:0], r.net.Links[tail]) // a source at the root
+			visit()
+			continue
+		}
 		for _, np := range r.net.Neighbors(d.Src) {
 			if n == 0 {
 				break
@@ -137,17 +150,11 @@ func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessmen
 				for _, l := range ds.arena[s : s+k-1] {
 					path = append(path, r.net.Links[l])
 				}
+				if tail >= 0 {
+					path = append(path, r.net.Links[tail])
+				}
 				s += k - 1
-				pc := lm.PathLatency(path, util, loss)
-				if pc.P99 > worst.P99 {
-					worst.P99 = pc.P99
-				}
-				if pc.P999 > worst.P999 {
-					worst.P999 = pc.P999
-				}
-				if pc.P50 > worst.P50 {
-					worst.P50 = pc.P50
-				}
+				visit()
 			}
 		}
 	}

@@ -11,24 +11,27 @@
 // model.
 //
 // Route state is stored densely by device and link ID, with no pointers for
-// the garbage collector to scan. Every cached BFS distance field sits in a
-// per-device slot beside a bitset of the links tight toward its destination
-// (on some shortest path), and the destination-rooted arenas hold the int32
-// link IDs of transit devices' path suffixes, which EvaluateInto and
-// LatencyModel.WorstPairLatency read as first-hop + suffix segments; they
-// are the router's only representation of ECMP paths. A link leaving the
-// usable subgraph touches only the fields whose bitset holds it, and most
-// of those are settled by an exact O(degree) test: if the link's farther
-// endpoint keeps another next hop, no distance changes. A BFS runs only
-// when that endpoint lost its last one. A link joining the subgraph is
-// resolved from its two endpoint distances per field. Every field whose
-// ECMP DAG changes shelves its destination's structure; the rest are
-// validated lazily against epoch stamps. Invalidate remains as the
-// full-flush fallback for bulk edits.
+// the garbage collector to scan, and is keyed by attachment point: a
+// destination with exactly one usable link is served by the structures of
+// the link's far end (its root), with the link appended to every path as a
+// tail; any other destination is its own root. Every cached BFS distance
+// field sits in a per-root slot beside a bitset of the links tight toward
+// the root (on some shortest path), and the destination-rooted arenas hold
+// the int32 link IDs of transit devices' path suffixes toward the root,
+// which EvaluateInto and LatencyModel.WorstPairLatency read as first-hop +
+// suffix segments followed by the tail; they are the router's only
+// representation of ECMP paths. A link leaving the usable subgraph touches
+// only the fields whose bitset holds it, and most of those are settled by an
+// exact O(degree) test: if the link's farther endpoint keeps another next
+// hop, no distance changes. A BFS runs only when that endpoint lost its last
+// one. A link joining the subgraph is resolved from its two endpoint
+// distances per field. Every field whose ECMP DAG changes shelves its root's
+// structure; the rest are validated lazily against epoch stamps. Invalidate
+// remains as the full-flush fallback for bulk edits.
 //
-// Traversals — BFS, the tight-link bitsets and destination-rooted builds —
-// read a usability snapshot, never HealthFn. Only InvalidateLink, Drain,
-// Undrain and Invalidate refresh it.
+// Traversals — root resolution, BFS, the tight-link bitsets and
+// destination-rooted builds — read a usability snapshot, never HealthFn.
+// Only InvalidateLink, Drain, Undrain and Invalidate refresh it.
 package routing
 
 import (
@@ -47,9 +50,9 @@ import (
 // InvalidateLink, or call Invalidate after a bulk edit.
 type HealthFn func(topology.LinkID) bool
 
-// distEntry is one cached BFS distance field toward a destination, the
-// bitset (indexed by link ID) of the usable links tight toward it — exactly
-// the links whose loss can change the field or its ECMP DAG — and the cache
+// distEntry is one cached BFS distance field toward a root, the bitset
+// (indexed by link ID) of the usable links tight toward it — exactly the
+// links whose loss can change the field or its ECMP DAG — and the cache
 // epoch the field was computed under. A zero entry (nil dist) is an empty
 // slot; the field and its bitset are recycled together.
 type distEntry struct {
@@ -64,18 +67,18 @@ type Router struct {
 	health  HealthFn
 	drained []bool
 
-	// Workers bounds the goroutines used to rebuild destination-rooted
-	// structures inside EvaluateInto (0 or 1 means serial). Rebuilds are
-	// pure per-destination functions, so the worker count is a throughput
-	// knob only: results are byte-identical at any setting.
+	// Workers bounds the goroutines used to rebuild the roots' structures
+	// inside EvaluateInto (0 or 1 means serial). Rebuilds are pure per-root
+	// functions, so the worker count is a throughput knob only: results are
+	// byte-identical at any setting.
 	Workers int
 
-	// distCache holds each destination's distance field and tight-link
-	// bitset, indexed by DeviceID. Every cached field is exact for the
-	// current snapshot: transitions repair or evict fields eagerly, and
-	// only destination structures go stale lazily. fields counts the
-	// occupied slots: while it is zero (a router never evaluated, like a
-	// fleet region's) transitions skip the slot scan.
+	// distCache holds each root's distance field and tight-link bitset,
+	// indexed by DeviceID. Every cached field is exact for the current
+	// snapshot: transitions repair or evict fields eagerly, and only root
+	// structures go stale lazily. fields counts the occupied slots: while it
+	// is zero (a router never evaluated, like a fleet region's) transitions
+	// skip the slot scan.
 	distCache []distEntry
 	fields    int
 	// lastUsable snapshots each link's usability as of the last (in)validation.
@@ -92,17 +95,18 @@ type Router struct {
 	queue     []topology.DeviceID // BFS scratch
 	freeDists []distEntry         // recycled distance fields with their bitsets
 
-	// Destination-rooted engine state (destroot.go). destCur holds each
-	// destination's current suffix structure; destShelf is a one-slot
-	// per-destination parking spot for structures displaced by a subgraph
+	// Destination-rooted engine state (destroot.go). route holds each
+	// destination's root and tail as of the last prepareDests. destCur
+	// holds each root's current suffix structure; destShelf is a one-slot
+	// per-root parking spot for structures displaced by a subgraph
 	// transition, restorable when the subgraph signature returns to their
 	// build value (drain → undrain round trips restore for free).
+	route       []destRoute
 	destCur     []*destState
 	destShelf   []*destState
 	freeStates  []*destState
 	builders    []*destBuilder
 	pending     []buildJob
-	destMark    []uint64 // per-destination dedup scratch for prepareDests
 	destSeq     uint64
 	subgraphSig uint64 // Zobrist hash of the usable link set
 }
@@ -116,9 +120,9 @@ func NewRouter(net *topology.Network, health HealthFn) *Router {
 		drained:    make([]bool, len(net.Links)),
 		distCache:  make([]distEntry, len(net.Devices)),
 		lastUsable: make([]bool, len(net.Links)),
+		route:      make([]destRoute, len(net.Devices)),
 		destCur:    make([]*destState, len(net.Devices)),
 		destShelf:  make([]*destState, len(net.Devices)),
-		destMark:   make([]uint64, len(net.Devices)),
 	}
 	for i, l := range net.Links {
 		r.lastUsable[i] = r.Usable(l)
@@ -185,7 +189,7 @@ func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 //     single hop leaves all distances intact). For surviving fields the new
 //     edge joins the ECMP DAG and the field's tight bitset.
 //
-// Either way, every destination whose ECMP DAG may have changed shelves its
+// Either way, every root whose ECMP DAG may have changed shelves its
 // destination-rooted structure; it is restored or rebuilt on next use.
 func (r *Router) InvalidateLink(id topology.LinkID) {
 	l := r.net.Links[id]
@@ -203,12 +207,11 @@ func (r *Router) InvalidateLink(id topology.LinkID) {
 	}
 }
 
-// linkDown handles link l leaving the usable subgraph. Destinations are
-// visited in ascending ID order; each field holding l as tight shelves its
-// destination-rooted structure (its DAG lost an edge) and then either keeps
-// its distances and stamp — dropping only l's tight bit — or, when l's
-// farther endpoint lost its last next hop, is recomputed in place under a
-// fresh stamp.
+// linkDown handles link l leaving the usable subgraph. Roots are visited in
+// ascending ID order; each field holding l as tight shelves its root's
+// structure (its DAG lost an edge) and then either keeps its distances and
+// stamp — dropping only l's tight bit — or, when l's farther endpoint lost
+// its last next hop, is recomputed in place under a fresh stamp.
 //
 //selfmaint:hotpath
 func (r *Router) linkDown(l *topology.Link) {
@@ -218,11 +221,11 @@ func (r *Router) linkDown(l *topology.Link) {
 		if e.dist == nil || e.tight[id>>6]&(1<<(id&63)) == 0 {
 			continue
 		}
-		dst := topology.DeviceID(i)
-		// The link was tight toward dst, so dst's ECMP DAG lost an edge even
-		// when the distances below survive: shelve the destination-rooted
-		// structure (an undrain restores it via the subgraph signature).
-		r.shelveDest(dst)
+		root := topology.DeviceID(i)
+		// The link was tight toward root, so root's ECMP DAG lost an edge
+		// even when the distances below survive: shelve the root's structure
+		// (an undrain restores it via the subgraph signature).
+		r.shelveDest(root)
 		far := a
 		if e.dist[b] > e.dist[a] {
 			far = b
@@ -233,13 +236,13 @@ func (r *Router) linkDown(l *topology.Link) {
 		}
 		// far's distance grows, so the field changes: recompute it in place
 		// under a new stamp.
-		r.computeField(dst, e)
+		r.computeField(root, e)
 	}
 }
 
 // keepsNextHop reports whether device u still has a usable neighbour one hop
-// closer to the destination of field dist. It is the exact survival test for
-// the loss of a link tight toward that destination: only the link's farther
+// closer to the root of field dist. It is the exact survival test for
+// the loss of a link tight toward that root: only the link's farther
 // endpoint u descended over it, so if u keeps a next hop every device keeps
 // one and, by induction on distance, no distance changes. If u has none, its
 // distance grows.
@@ -258,7 +261,7 @@ func (r *Router) keepsNextHop(dist []int, u topology.DeviceID) bool {
 // the endpoints equal are untouched; fields ranking them ≥2 apart (or one
 // side unreachable) shorten and are evicted. Fields ranking them exactly one
 // apart keep their distances but gain a DAG edge: the link joins their tight
-// bitset. Both kinds shelve their destination-rooted structure.
+// bitset. Both kinds shelve their root's structure.
 //
 //selfmaint:hotpath
 func (r *Router) linkUp(l *topology.Link) {
@@ -272,24 +275,24 @@ func (r *Router) linkUp(l *topology.Link) {
 		if da == db {
 			continue // equidistant (or both unreachable): never on a shortest path
 		}
-		// The destination's DAG gains an edge (or its field shortens), so
-		// its suffix structure retires to the shelf (an undrain round trip
+		// The root's DAG gains an edge (or its field shortens), so its
+		// suffix structure retires to the shelf (an undrain round trip
 		// restores the pre-drain one).
-		dst := topology.DeviceID(i)
-		r.shelveDest(dst)
+		root := topology.DeviceID(i)
+		r.shelveDest(root)
 		if da < 0 || db < 0 || da-db > 1 || db-da > 1 {
-			r.evictDist(dst) // the link shortens or newly connects routes to dst
+			r.evictDist(root) // the link shortens or newly connects routes to root
 			continue
 		}
-		// |da-db| == 1: distances survive; the link is now tight toward dst.
+		// |da-db| == 1: distances survive; the link is now tight toward root.
 		e.tight[id>>6] |= 1 << (id & 63)
 	}
 }
 
-// evictDist empties dst's slot, recycling its field and bitset.
-func (r *Router) evictDist(dst topology.DeviceID) {
-	r.freeDists = append(r.freeDists, r.distCache[dst])
-	r.distCache[dst] = distEntry{}
+// evictDist empties root's slot, recycling its field and bitset.
+func (r *Router) evictDist(root topology.DeviceID) {
+	r.freeDists = append(r.freeDists, r.distCache[root])
+	r.distCache[root] = distEntry{}
 	r.fields--
 }
 
@@ -303,28 +306,30 @@ func (r *Router) evictDist(dst topology.DeviceID) {
 //lint:allow deadexport TestIncrementalInvalidationMatchesFullFlush and TestDestRootedMatchesPerPairEnumerator full-flush their reference router with it
 func (r *Router) Invalidate() {
 	r.cacheEpoch++
-	for dst := range r.distCache {
-		if r.distCache[dst].dist != nil {
-			r.evictDist(topology.DeviceID(dst))
+	for root := range r.distCache {
+		if r.distCache[root].dist != nil {
+			r.evictDist(topology.DeviceID(root))
 		}
 	}
 	for i, l := range r.net.Links {
 		r.lastUsable[i] = r.Usable(l)
 	}
 	r.recomputeSubgraphSig()
-	// Destination-rooted structures are not flushed here: stale ones fail
-	// their stamp comparison on next use (the fresh fields carry the new
-	// epoch), and shelved ones stay restorable — the recomputed signature
-	// makes the validity check exact even after bulk edits.
+	// Root structures are not flushed here: stale ones fail their stamp
+	// comparison on next use (the fresh fields carry the new epoch), and
+	// shelved ones stay restorable — the recomputed signature makes the
+	// validity check exact even after bulk edits. Roots are resolved afresh
+	// from the snapshot by every prepareDests.
 }
 
-// distEntryFor returns the cached BFS distance field toward dst, computing
-// it and its tight bitset if absent. Caching per destination is what makes
-// evaluating thousands of demands cheap: one BFS serves every source.
+// distEntryFor returns the cached BFS distance field toward root, computing
+// it and its tight bitset if absent. Caching per root is what makes
+// evaluating thousands of demands cheap: one BFS serves every source of
+// every destination the root serves.
 //
 //selfmaint:hotpath
-func (r *Router) distEntryFor(dst topology.DeviceID) distEntry {
-	if e := r.distCache[dst]; e.dist != nil {
+func (r *Router) distEntryFor(root topology.DeviceID) distEntry {
+	if e := r.distCache[root]; e.dist != nil {
 		return e
 	}
 	var e distEntry
@@ -338,30 +343,30 @@ func (r *Router) distEntryFor(dst topology.DeviceID) distEntry {
 		//lint:allow hotpathalloc free-list miss; the bitset is recycled with its field
 		e.tight = make([]uint64, (len(r.net.Links)+63)/64)
 	}
-	r.computeField(dst, &e)
-	r.distCache[dst] = e
+	r.computeField(root, &e)
+	r.distCache[root] = e
 	r.fields++
 	return e
 }
 
-// computeField rewrites e as the field toward dst over the usability
+// computeField rewrites e as the field toward root over the usability
 // snapshot, stamped with the current epoch: BFS distances (-1 unreachable)
 // and, in the same pass, the tight bitset — exactly the usable links on some
-// shortest path toward dst, the set topology.ShortestPathLinks visits. A
+// shortest path toward root, the set topology.ShortestPathLinks visits. A
 // link outside the bitset can change state without changing the distances
 // or the ECMP DAG. When a device is dequeued, every neighbour one hop closer
 // already has its final distance, so each tight link is recorded once, from
 // its farther endpoint.
 //
 //selfmaint:hotpath
-func (r *Router) computeField(dst topology.DeviceID, e *distEntry) {
+func (r *Router) computeField(root topology.DeviceID, e *distEntry) {
 	dist := e.dist
 	for i := range dist {
 		dist[i] = -1
 	}
 	clear(e.tight)
-	dist[dst] = 0
-	q := append(r.queue[:0], dst)
+	dist[root] = 0
+	q := append(r.queue[:0], root)
 	for h := 0; h < len(q); h++ {
 		d := q[h]
 		k := dist[d]
@@ -433,15 +438,18 @@ type Workspace struct {
 // evaluation. With warm caches it performs zero heap allocations.
 //
 // Path resolution runs on the destination-rooted engine (destroot.go): one
-// shared suffix structure per destination serves every source, in place of
-// an independent DFS per pair. Demand (s,d)'s paths are read as segments:
-// for each next hop p of s, in adjacency order, the first hop s→p followed
-// by each of the first c of p's suffixes. Within a demand every addition is
-// the same share, so adding it c times to the first hop and once per suffix
-// link gives each link exactly the per-pair paths' additions, in demand
-// order. When no link is overloaded every path's bottleneck factor is 1, so
-// the satisfaction pass skips the path scan. The Assessment is therefore
-// byte-identical to the per-pair specification at any Workers setting.
+// shared suffix structure per root serves every source of every destination
+// the root serves, in place of an independent DFS per pair. Demand (s,d)'s
+// paths are read as segments: for each next hop p of s, in adjacency order,
+// the first hop s→p followed by each of the first c of p's suffixes toward
+// d's root, and then d's tail, if it has one. A source at the root has one
+// path, the tail alone. Within a demand every addition is the same share,
+// so adding it c times to the first hop, once per suffix link and n times
+// to the tail gives each link exactly the per-pair paths' additions, in
+// demand order. When no link is overloaded every path's bottleneck factor
+// is 1, so the satisfaction pass skips the path scan. The Assessment is
+// therefore byte-identical to the per-pair specification at any Workers
+// setting.
 //
 //selfmaint:hotpath
 func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
@@ -456,13 +464,21 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	}
 	for _, d := range tm.Demands {
 		as.OfferedGbps += d.Gbps
-		ds, n := r.routeCount(d)
+		ds, tail, n := r.routeCount(d)
 		if n == 0 {
 			as.Unreachable++
 			continue
 		}
 		share := d.Gbps / float64(n)
+		if tail >= 0 {
+			for range n {
+				as.LinkLoad[tail] += share // the tail ends every path
+			}
+		}
 		k := ds.plen[d.Src]
+		if k == 0 {
+			continue // a source at the root: its one path is the tail
+		}
 		for _, np := range r.net.Neighbors(d.Src) {
 			if n == 0 {
 				break
@@ -497,7 +513,7 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 		}
 	}
 	for i, d := range tm.Demands {
-		ds, n := r.routeCount(d)
+		ds, tail, n := r.routeCount(d)
 		if n == 0 {
 			continue
 		}
@@ -508,7 +524,7 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 				achieved += share // every bottleneck factor is 1
 			}
 		} else {
-			achieved = r.bottlenecked(ws.over, ds, d.Src, n, share)
+			achieved = r.bottlenecked(ws.over, ds, tail, d.Src, n, share)
 		}
 		as.SatisfiedGbps += achieved
 		as.PerDemand[i] = achieved / d.Gbps
@@ -516,16 +532,21 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	return as
 }
 
-// routeCount returns the destination structure serving demand d and the
-// number of equal-cost paths it splits over (0: unreachable or a self-pair).
+// routeCount returns the structure serving demand d — its destination's
+// root's — the tail link that ends every one of its paths (-1: none), and
+// the number of equal-cost paths it splits over (0: unreachable or a
+// self-pair). With a tail, the destination's only usable link joins it to
+// the root, so every source but the destination itself has as many paths
+// toward it as toward the root; the root itself has one, the tail.
 //
 //selfmaint:hotpath
-func (r *Router) routeCount(d Demand) (*destState, int32) {
+func (r *Router) routeCount(d Demand) (*destState, int32, int32) {
 	if d.Src == d.Dst {
-		return nil, 0
+		return nil, -1, 0
 	}
-	ds := r.destCur[d.Dst]
-	return ds, ds.count[d.Src]
+	rt := r.route[d.Dst]
+	ds := r.destCur[rt.root]
+	return ds, rt.tail, ds.count[d.Src]
 }
 
 // startsSegment reports whether neighbour np of a source at path length k
@@ -540,12 +561,19 @@ func (r *Router) startsSegment(ds *destState, np topology.LinkPeer, k int32) boo
 
 // bottlenecked sums share divided by each of src's n paths' worst overload
 // factor, in path order, walking the same segments as EvaluateInto's load
-// pass: a path's factor covers its first hop and its suffix links.
+// pass: a path's factor covers its first hop, its suffix links and the tail.
 //
 //selfmaint:hotpath
-func (r *Router) bottlenecked(over []float64, ds *destState, src topology.DeviceID, n int32, share float64) float64 {
-	achieved := 0.0
+func (r *Router) bottlenecked(over []float64, ds *destState, tail int32, src topology.DeviceID, n int32, share float64) float64 {
+	last := 1.0 // the tail's factor, shared by every path
+	if tail >= 0 {
+		last = max(1, over[tail])
+	}
 	k := ds.plen[src]
+	if k == 0 {
+		return share / last // a source at the root: its one path is the tail
+	}
+	achieved := 0.0
 	for _, np := range r.net.Neighbors(src) {
 		if n == 0 {
 			break
@@ -556,7 +584,7 @@ func (r *Router) bottlenecked(over []float64, ds *destState, src topology.Device
 		p := np.Peer.ID
 		c := min(n, ds.count[p])
 		n -= c
-		hop := max(1, over[np.Link.ID])
+		hop := max(last, over[np.Link.ID])
 		for s := ds.start[p]; c > 0; c-- {
 			worst := hop
 			for _, l := range ds.arena[s : s+k-1] {
