@@ -23,6 +23,9 @@ fi
 echo "== go test -race"
 go test -race ./...
 
+echo "== fuzz (EvaluateInto against its per-pair spec, 10 s)"
+go test -run '^$' -fuzz '^FuzzEvaluateMatchesSpec$' -fuzztime 10s ./internal/routing
+
 echo "== shard-diff (sharded == single-engine, all worker counts)"
 make shard-diff
 

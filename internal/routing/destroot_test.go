@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"cmp"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -13,7 +14,7 @@ import (
 // rail-optimized AI cluster whose GPU servers are multi-homed, at modest
 // scale (routing cannot import maintindex's builders: maintindex depends on
 // routing).
-func buildTopo(t *testing.T, kind string) *topology.Network {
+func buildTopo(t testing.TB, kind string) *topology.Network {
 	t.Helper()
 	var (
 		n   *topology.Network
@@ -223,24 +224,73 @@ func endpointMatrix(net *topology.Network, gbps float64) TrafficMatrix {
 	return tm
 }
 
+// mixedMatrix rearranges uniform's demands to pin EvaluateInto's run
+// boundaries: every third demand at twice the rate, the first source's
+// self-pair inserted after its first demand (whose destination shares the
+// source's switch), the fifth demand duplicated next to itself, and the
+// second half reordered so that, within each source, consecutive
+// destinations hang off different switches. It also returns, for each of
+// its demands, the index of uniform's demand with the same pair (-1 for the
+// self-pair), so that uniform's spec paths serve it.
+func mixedMatrix(net *topology.Network, uniform TrafficMatrix) (TrafficMatrix, []int) {
+	dm := uniform.Demands
+	attach := func(d topology.DeviceID) topology.DeviceID {
+		if nb := net.Neighbors(d); len(nb) == 1 {
+			return nb[0].Peer.ID
+		}
+		return d
+	}
+	half := len(dm) / 2
+	rank := make([]int, len(dm)) // a demand's place among its source's demands to one switch
+	seen := map[[2]topology.DeviceID]int{}
+	for i := half; i < len(dm); i++ {
+		key := [2]topology.DeviceID{dm[i].Src, attach(dm[i].Dst)}
+		rank[i] = seen[key]
+		seen[key]++
+	}
+	order := make([]int, len(dm))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order[half:], func(a, b int) int {
+		return cmp.Or(cmp.Compare(dm[a].Src, dm[b].Src), cmp.Compare(rank[a], rank[b]))
+	})
+	idx := slices.Concat(order[:1], []int{-1}, order[1:5], order[4:])
+	tm := TrafficMatrix{Name: "mixed", Demands: make([]Demand, len(idx))}
+	for i, j := range idx {
+		if j < 0 {
+			tm.Demands[i] = Demand{Src: dm[0].Src, Dst: dm[0].Src, Gbps: dm[0].Gbps}
+			continue
+		}
+		tm.Demands[i] = dm[j]
+		if j%3 == 2 {
+			tm.Demands[i].Gbps *= 2
+		}
+	}
+	return tm, idx
+}
+
 // Differential property pinning the destination-rooted engine to its
 // executable specification: across topology families (the four studied
 // ones, whose hosts are single-homed and served by their switch's
 // structure, and an AI cluster, whose multi-homed GPU servers are their own
 // roots until drains and faults leave them one rail) × randomized
 // drain/fault/repair sequences over every link (host links included, so
-// sources lose uplinks and become unreachable) × seeds × four matrices, an
+// sources lose uplinks and become unreachable) × seeds × five matrices, an
 // incrementally maintained engine router at every worker count produces
 // Assessments byte-identical to referenceEvaluate over the spec paths of a
 // router that full-flushes after every change. The uniform matrix at 700
 // Gbps never overloads a link; at full and twice-full host injection it
-// does, so both branches of the satisfaction pass and the bottleneck scan's
+// does, so both branches of the satisfaction pass and the path factors'
 // first hop and tail are pinned. The endpoint matrix, at full host
 // injection split over the hosts, overloads host links and puts sources at
-// their destination's root. Once per step, for the full-injection uniform
-// matrix and the endpoint matrix, the workers=1 engine's WorstPairLatency
-// must equal specWorstLatency exactly, under 20% loss on one random link and
-// a small loss elsewhere.
+// their destination's root. The mixed matrix (mixedMatrix), at full host
+// injection, pins the run boundaries: a rate change, a self-pair and a
+// root change each end a run, a duplicated demand stays in its run, and
+// the tails of one run carry different overloads. Once per step, for the
+// full-injection uniform matrix and the endpoint matrix, the workers=1
+// engine's WorstPairLatency must equal specWorstLatency exactly, under 20%
+// loss on one random link and a small loss elsewhere.
 func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 	workerCounts := []int{1, 2, 4, 8}
 	lm := DefaultLatencyModel()
@@ -260,6 +310,7 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 			const fullLoad = 1 // index of full host injection in tms
 			tms := []TrafficMatrix{UniformMatrix(net, 700), UniformMatrix(net, full), UniformMatrix(net, 2*full)}
 			endpoints := endpointMatrix(net, full/float64(len(net.Hosts())))
+			mixed, mixedIdx := mixedMatrix(net, tms[fullLoad])
 			rng := rand.New(rand.NewPCG(seed, 0xd357))
 			lossRng := rand.New(rand.NewPCG(seed, 0x1055))
 			for step := 0; step < 20; step++ {
@@ -316,6 +367,13 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 					check(tm, paths, li == fullLoad)
 				}
 				check(endpoints, specMatrixPaths(ref, endpoints), true)
+				mixedPaths := make([][]topology.Path, len(mixedIdx))
+				for i, j := range mixedIdx {
+					if j >= 0 {
+						mixedPaths[i] = paths[j]
+					}
+				}
+				check(mixed, mixedPaths, false)
 			}
 		}
 	}

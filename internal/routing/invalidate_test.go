@@ -260,7 +260,10 @@ func TestUndrainWithPeerDeviceDown(t *testing.T) {
 }
 
 // Steady-state evaluation through a workspace must not allocate: this is
-// the per-cell hot loop, asserted here so regressions fail tier-1.
+// the per-cell hot loop, asserted here so regressions fail tier-1. At 300
+// Gbps no link overloads; at full host injection links do, so the
+// satisfaction pass takes the path-factor branch, which must not allocate
+// either.
 func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 	n := leafSpine(t, 4, 2, 4, 1)
 	r := NewRouter(n, nil)
@@ -269,6 +272,13 @@ func TestEvaluateSteadyStateZeroAlloc(t *testing.T) {
 	r.EvaluateInto(&ws, tm) // warm caches and grow buffers
 	if allocs := testing.AllocsPerRun(100, func() { r.EvaluateInto(&ws, tm) }); allocs != 0 {
 		t.Fatalf("EvaluateInto allocated %.1f/op in steady state", allocs)
+	}
+	over := UniformMatrix(n, hostInjection(n))
+	if a := r.EvaluateInto(&ws, over); a.MaxUtil <= 1 {
+		t.Fatalf("full host injection MaxUtil = %.2f, want > 1 (the path-factor branch)", a.MaxUtil)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.EvaluateInto(&ws, over) }); allocs != 0 {
+		t.Fatalf("overloaded EvaluateInto allocated %.1f/op in steady state", allocs)
 	}
 }
 

@@ -20,14 +20,19 @@
 // the int32 link IDs of transit devices' path suffixes toward the root,
 // which EvaluateInto and LatencyModel.WorstPairLatency read as first-hop +
 // suffix segments followed by the tail; they are the router's only
-// representation of ECMP paths. A link leaving the usable subgraph touches
-// only the fields whose bitset holds it, and most of those are settled by an
-// exact O(degree) test: if the link's farther endpoint keeps another next
-// hop, no distance changes. A BFS runs only when that endpoint lost its last
-// one. A link joining the subgraph is resolved from its two endpoint
-// distances per field. Every field whose ECMP DAG changes shelves its root's
-// structure; the rest are validated lazily against epoch stamps. Invalidate
-// remains as the full-flush fallback for bulk edits.
+// representation of ECMP paths. EvaluateInto reads them once per run of
+// consecutive demands with one source, one rate and one destination root,
+// summing each link's repeated additions in a register, which leaves every
+// sum bit-identical to per-demand evaluation.
+//
+// A link leaving the usable subgraph touches only the fields whose bitset
+// holds it, and most of those are settled by an exact O(degree) test: if
+// the link's farther endpoint keeps another next hop, no distance changes.
+// A BFS runs only when that endpoint lost its last one. A link joining the
+// subgraph is resolved from its two endpoint distances per field. Every
+// field whose ECMP DAG changes shelves its root's structure; the rest are
+// validated lazily against epoch stamps. Invalidate remains as the
+// full-flush fallback for bulk edits.
 //
 // Traversals — root resolution, BFS, the tight-link bitsets and
 // destination-rooted builds — read a usability snapshot, never HealthFn.
@@ -443,13 +448,21 @@ type Workspace struct {
 // paths are read as segments: for each next hop p of s, in adjacency order,
 // the first hop s→p followed by each of the first c of p's suffixes toward
 // d's root, and then d's tail, if it has one. A source at the root has one
-// path, the tail alone. Within a demand every addition is the same share,
-// so adding it c times to the first hop, once per suffix link and n times
-// to the tail gives each link exactly the per-pair paths' additions, in
-// demand order. When no link is overloaded every path's bottleneck factor
-// is 1, so the satisfaction pass skips the path scan. The Assessment is
-// therefore byte-identical to the per-pair specification at any Workers
-// setting.
+// path, the tail alone.
+//
+// Demands are evaluated run by run (see runEnd). The demands of a run share
+// a source, a rate and a root, so they have the same paths up to their
+// tails and the same share on each. The load pass walks a run's segments
+// once, and each first-hop and suffix link takes the run's repeated
+// additions in a register: they are all the same share and no demand
+// outside the run falls between them, so each link receives the per-pair
+// paths' additions one by one, and its sum is unchanged. Each demand's
+// tail, which no path of its run crosses, takes its own n additions in
+// demand order. The satisfaction pass takes each path's worst overload
+// factor before the tail once per run and folds in each demand's tail
+// factor; when no link is overloaded every factor is 1, and a run's
+// achieved rate is its share added n times. The Assessment is therefore
+// byte-identical to the per-pair specification at any Workers setting.
 //
 //selfmaint:hotpath
 func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
@@ -462,24 +475,34 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 		PerDemand: ws.perDemand,
 		LinkLoad:  ws.linkLoad,
 	}
-	for _, d := range tm.Demands {
-		as.OfferedGbps += d.Gbps
-		ds, tail, n := r.routeCount(d)
+	load := as.LinkLoad
+	for i := 0; i < len(tm.Demands); {
+		run := tm.Demands[i:r.runEnd(tm.Demands, i)]
+		i += len(run)
+		for _, d := range run {
+			as.OfferedGbps += d.Gbps
+		}
+		ds, _, n := r.routeCount(run[0])
 		if n == 0 {
-			as.Unreachable++
+			as.Unreachable += len(run)
 			continue
 		}
-		share := d.Gbps / float64(n)
-		if tail >= 0 {
-			for range n {
-				as.LinkLoad[tail] += share // the tail ends every path
+		share := run[0].Gbps / float64(n)
+		for _, d := range run {
+			if tail := r.route[d.Dst].tail; tail >= 0 {
+				acc := load[tail]
+				for range n {
+					acc += share // the tail ends every path
+				}
+				load[tail] = acc
 			}
 		}
-		k := ds.plen[d.Src]
+		k := ds.plen[run[0].Src]
 		if k == 0 {
 			continue // a source at the root: its one path is the tail
 		}
-		for _, np := range r.net.Neighbors(d.Src) {
+		m := len(run)
+		for _, np := range r.net.Neighbors(run[0].Src) {
 			if n == 0 {
 				break
 			}
@@ -489,22 +512,44 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 			p := np.Peer.ID
 			c := min(n, ds.count[p])
 			n -= c
-			for range c {
-				as.LinkLoad[np.Link.ID] += share // c adds, not one multiply: bit-exact sums
+			acc := load[np.Link.ID]
+			for range int(c) * m {
+				acc += share // separate adds, never one multiply: bit-exact sums
 			}
+			load[np.Link.ID] = acc
+			// Consecutive positions of one segment are distinct links, so
+			// they are summed in pairs with two independent accumulators.
+			// Within a suffix a shortest path repeats no link. Across a
+			// suffix boundary the two links sit at different distance
+			// levels, unless the suffixes are single links, and then they
+			// are distinct suffixes of p and so distinct links.
 			s := ds.start[p]
-			for _, l := range ds.arena[s : s+c*(k-1)] {
-				as.LinkLoad[l] += share
+			seg := ds.arena[s : s+c*(k-1)]
+			for ; len(seg) >= 2; seg = seg[2:] {
+				a, b := seg[0], seg[1]
+				x, y := load[a], load[b]
+				for range m {
+					x += share
+					y += share
+				}
+				load[a], load[b] = x, y
+			}
+			if len(seg) == 1 {
+				x := load[seg[0]]
+				for range m {
+					x += share
+				}
+				load[seg[0]] = x
 			}
 		}
 	}
 	// Overload factors.
-	for id, load := range as.LinkLoad {
+	for id, l := range load {
 		cap := r.net.Links[id].GbpsCap
 		if cap <= 0 {
 			continue
 		}
-		u := load / cap
+		u := l / cap
 		if u > as.MaxUtil {
 			as.MaxUtil = u
 		}
@@ -512,24 +557,67 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 			ws.over[id] = u
 		}
 	}
-	for i, d := range tm.Demands {
-		ds, tail, n := r.routeCount(d)
+	var factor [maxPaths]float64
+	for i := 0; i < len(tm.Demands); {
+		first := i
+		run := tm.Demands[i:r.runEnd(tm.Demands, i)]
+		i += len(run)
+		ds, _, n := r.routeCount(run[0])
 		if n == 0 {
 			continue
 		}
-		share := d.Gbps / float64(n)
-		achieved := 0.0
+		share := run[0].Gbps / float64(n)
 		if as.MaxUtil <= 1 {
+			achieved := 0.0
 			for range n {
 				achieved += share // every bottleneck factor is 1
 			}
-		} else {
-			achieved = r.bottlenecked(ws.over, ds, tail, d.Src, n, share)
+			for j, d := range run {
+				as.SatisfiedGbps += achieved
+				as.PerDemand[first+j] = achieved / d.Gbps
+			}
+			continue
 		}
-		as.SatisfiedGbps += achieved
-		as.PerDemand[i] = achieved / d.Gbps
+		paths := r.pathFactors(&factor, ws.over, ds, run[0].Src, n)
+		for j, d := range run {
+			last := 1.0 // the tail's factor, shared by every path
+			if tail := r.route[d.Dst].tail; tail >= 0 {
+				last = max(1, ws.over[tail])
+			}
+			achieved := 0.0
+			for _, f := range paths {
+				achieved += share / max(f, last)
+			}
+			as.SatisfiedGbps += achieved
+			as.PerDemand[first+j] = achieved / d.Gbps
+		}
 	}
 	return as
+}
+
+// runEnd returns the end of the run that starts at demand i: the maximal
+// stretch of consecutive demands with dm[i]'s source, its rate (==) and
+// its destination's root, none of them a self-pair. Such demands have the
+// same paths up to their tails and the same share on each. A self-pair,
+// which has no paths, is a run of its own. Roots are read from route,
+// which prepareDests resolved for every destination of the matrix.
+//
+//selfmaint:hotpath
+func (r *Router) runEnd(dm []Demand, i int) int {
+	h := dm[i]
+	j := i + 1
+	if h.Src == h.Dst {
+		return j
+	}
+	route := r.route
+	root := route[h.Dst].root
+	for _, d := range dm[j:] {
+		if d.Src != h.Src || d.Gbps != h.Gbps || d.Dst == h.Src || route[d.Dst].root != root {
+			break
+		}
+		j++
+	}
+	return j
 }
 
 // routeCount returns the structure serving demand d — its destination's
@@ -559,21 +647,22 @@ func (r *Router) startsSegment(ds *destState, np topology.LinkPeer, k int32) boo
 	return r.lastUsable[np.Link.ID] && ds.plen[p] == k-1 && ds.count[p] > 0
 }
 
-// bottlenecked sums share divided by each of src's n paths' worst overload
-// factor, in path order, walking the same segments as EvaluateInto's load
-// pass: a path's factor covers its first hop, its suffix links and the tail.
+// pathFactors writes into f the worst overload factor of each of src's n
+// paths in ds over its links before the tail — the first hop and the
+// suffix links, walked as EvaluateInto's load pass walks them — and returns
+// them in path order. Every factor is at least 1. A source at the root has
+// one path, the tail alone, whose factor before the tail is 1. A demand's
+// path factor is then the larger of this and its tail's factor: max is
+// exact in any grouping, so this equals a scan of the whole path.
 //
 //selfmaint:hotpath
-func (r *Router) bottlenecked(over []float64, ds *destState, tail int32, src topology.DeviceID, n int32, share float64) float64 {
-	last := 1.0 // the tail's factor, shared by every path
-	if tail >= 0 {
-		last = max(1, over[tail])
-	}
+func (r *Router) pathFactors(f *[maxPaths]float64, over []float64, ds *destState, src topology.DeviceID, n int32) []float64 {
 	k := ds.plen[src]
 	if k == 0 {
-		return share / last // a source at the root: its one path is the tail
+		f[0] = 1
+		return f[:1]
 	}
-	achieved := 0.0
+	i := 0
 	for _, np := range r.net.Neighbors(src) {
 		if n == 0 {
 			break
@@ -584,7 +673,7 @@ func (r *Router) bottlenecked(over []float64, ds *destState, tail int32, src top
 		p := np.Peer.ID
 		c := min(n, ds.count[p])
 		n -= c
-		hop := max(last, over[np.Link.ID])
+		hop := max(1, over[np.Link.ID])
 		for s := ds.start[p]; c > 0; c-- {
 			worst := hop
 			for _, l := range ds.arena[s : s+k-1] {
@@ -592,9 +681,10 @@ func (r *Router) bottlenecked(over []float64, ds *destState, tail int32, src top
 					worst = over[l]
 				}
 			}
-			achieved += share / worst
+			f[i] = worst
+			i++
 			s += k - 1
 		}
 	}
-	return achieved
+	return f[:i]
 }

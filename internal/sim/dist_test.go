@@ -33,41 +33,27 @@ func TestDistMeansMatchSamples(t *testing.T) {
 		{"const", Const(4.5), 1e-12},
 		{"uniform", Uniform{2, 8}, 0.05},
 		{"exp", Exp{MeanVal: 3}, 0.05},
-		{"weibull-wearout", Weibull{Shape: 2, Scale: 10}, 0.1},
-		{"weibull-infant", Weibull{Shape: 0.7, Scale: 5}, 0.2},
 		{"lognormal", LogNormal{Mu: 1, Sigma: 0.5}, 0.1},
 		{"triangular", Triangular{0, 3, 9}, 0.05},
-		{"pareto", Pareto{Xm: 1, Alpha: 3}, 0.05},
-		{"shifted", Shifted{Base: Exp{MeanVal: 2}, Offset: 5}, 0.05},
 	}
 	for _, c := range cases {
 		within(t, c.name, meanOf(c.d, s, n), c.d.Mean(), c.tol)
 	}
-}
-
-func TestParetoInfiniteMean(t *testing.T) {
-	if m := (Pareto{Xm: 1, Alpha: 0.9}).Mean(); !math.IsInf(m, 1) {
-		t.Fatalf("Pareto alpha<=1 mean = %g, want +Inf", m)
-	}
-}
-
-func TestEmpirical(t *testing.T) {
-	s := newTestStream(3)
-	e := Empirical{Values: []float64{1, 2, 3}}
-	within(t, "uniform empirical mean", e.Mean(), 2, 1e-12)
-	within(t, "uniform empirical sample mean", meanOf(e, s, 100000), 2, 0.02)
-
-	w := Empirical{Values: []float64{0, 10}, Weights: []float64{9, 1}}
-	within(t, "weighted empirical mean", w.Mean(), 1, 1e-12)
-	within(t, "weighted empirical sample mean", meanOf(w, s, 100000), 1, 0.1)
-
-	var empty Empirical
-	if empty.Sample(s) != 0 || empty.Mean() != 0 {
-		t.Fatal("empty empirical should yield 0")
-	}
-	zero := Empirical{Values: []float64{5}, Weights: []float64{0}}
-	if zero.Mean() != 0 {
-		t.Fatal("all-zero weights mean should be 0")
+	// Stream.Weibull draws fault onsets: its sample mean must match
+	// scale·Γ(1+1/shape) in both the wear-out and the infant-mortality
+	// regime.
+	for _, c := range []struct {
+		name              string
+		shape, scale, tol float64
+	}{
+		{"weibull-wearout", 2, 10, 0.1},
+		{"weibull-infant", 0.7, 5, 0.2},
+	} {
+		var sum float64
+		for range n {
+			sum += s.Weibull(c.shape, c.scale)
+		}
+		within(t, c.name, sum/n, c.scale*math.Gamma(1+1/c.shape), c.tol)
 	}
 }
 
@@ -86,14 +72,6 @@ func TestClamped(t *testing.T) {
 	c2 := Clamped{Base: Const(0.1), Lo: 1, Hi: 5}
 	if c2.Mean() != 1 {
 		t.Fatalf("clamped mean = %g, want 1 (mean below Lo clamps)", c2.Mean())
-	}
-}
-
-func TestShiftedMin(t *testing.T) {
-	s := newTestStream(5)
-	sh := Shifted{Base: Const(-10), Offset: 2, Min: 0.5}
-	if v := sh.Sample(s); v != 0.5 {
-		t.Fatalf("Shifted below Min: got %g, want 0.5", v)
 	}
 }
 

@@ -51,16 +51,6 @@ func (s *Stream) LogNormal(mu, sigma float64) float64 {
 	return math.Exp(mu + sigma*s.NormFloat64())
 }
 
-// Pareto returns a draw from a Pareto distribution with minimum xm and tail
-// index alpha. Heavy-tailed draws model flow sizes and outlier repairs.
-func (s *Stream) Pareto(xm, alpha float64) float64 {
-	u := s.Float64()
-	for u == 0 {
-		u = s.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // Triangular returns a draw from a triangular distribution on [lo, hi] with
 // the given mode. It is the usual "expert estimate" distribution for task
 // durations with min/likely/max bounds.
