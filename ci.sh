@@ -26,6 +26,9 @@ go test -race ./...
 echo "== fuzz (EvaluateInto against its per-pair spec, 10 s)"
 go test -run '^$' -fuzz '^FuzzEvaluateMatchesSpec$' -fuzztime 10s ./internal/routing
 
+echo "== fuzz (flight-recording reader: error, never panic, 10 s)"
+go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/flightrec
+
 echo "== shard-diff (sharded == single-engine, all worker counts)"
 make shard-diff
 

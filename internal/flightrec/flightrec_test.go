@@ -142,7 +142,7 @@ func (g *genState) step() {
 
 // record generates one deterministic random recording and returns the
 // bytes, the expected frame sequence, and the live summary.
-func record(t *testing.T, seed uint64) ([]byte, []Frame, *Summary) {
+func record(t testing.TB, seed uint64) ([]byte, []Frame, *Summary) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(seed, 0xf11847))
 	shards := 1 + rng.IntN(4)

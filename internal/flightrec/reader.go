@@ -13,6 +13,12 @@ import (
 // for gigabytes. Real frames are tens of bytes; trailers a few kilobytes.
 const maxFrameLen = 16 << 20
 
+// maxShards bounds a recording's shard count: New refuses more, and the
+// reader rejects a frame whose shard index is not below it, since it grows
+// its per-shard tables up to the index a frame names. The largest fleet
+// experiment records 101 shards (100 regions and the hub).
+const maxShards = 1 << 12
+
 // Reader decodes one flight recording sequentially. It mirrors the
 // Recorder's delta and interning state, growing its per-shard tables on
 // demand (the shard count is implied by the frames, not the header, so old
@@ -50,7 +56,7 @@ func NewReader(rd io.Reader) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("flightrec: reading metadata count: %w", err)
 	}
-	r.meta = make(map[string]string, n)
+	r.meta = make(map[string]string) // not presized: n is untrusted until its entries are read
 	for i := uint64(0); i < n; i++ {
 		k, err := r.readRaw()
 		if err != nil {
@@ -126,7 +132,7 @@ func (r *Reader) decodeBody(d *dec) Frame {
 	d.pos = 1
 	switch kind {
 	case KindEvent:
-		shard := int(d.u())
+		shard := d.shard()
 		r.grow(shard)
 		topic := d.s()
 		at := r.prevAt[shard] + sim.Time(d.u())
@@ -141,7 +147,7 @@ func (r *Reader) decodeBody(d *dec) Frame {
 		return Frame{Kind: kind, Shard: shard, Topic: topic, At: at, Seq: seq,
 			Payload: decodePayload(name, fs)}
 	case KindSnapshot:
-		shard := int(d.u())
+		shard := d.shard()
 		r.grow(shard)
 		at := r.prevAt[shard] + sim.Time(d.u())
 		fs := d.fields()
@@ -152,10 +158,12 @@ func (r *Reader) decodeBody(d *dec) Frame {
 		return Frame{Kind: kind, Shard: shard, At: at, Snap: Snap{
 			Avail: fs.f(1), LinksDown: int(fs.i(2)), OpenTix: int(fs.i(3)), Fired: fs.u(4)}}
 	case KindState:
-		shard := int(d.u())
+		shard := d.shard()
 		n := d.u()
-		if d.err != nil || n > maxFrameLen {
-			d.fail("state frame with %d entries", n)
+		// An entry takes at least three bytes (key, value kind, value), so
+		// the body bounds the count before anything is allocated for it.
+		if d.err != nil || n > uint64(len(d.b)-d.pos)/3 {
+			d.fail("state frame with %d entries in %d bytes", n, len(d.b)-d.pos)
 			return Frame{}
 		}
 		kvs := make([]KV, 0, n)

@@ -54,10 +54,10 @@ func WithConverter(fn func(any) (Payload, bool)) Option {
 
 // New starts a recording: it writes the header (magic, version, metadata
 // sorted by key) immediately. shards is the shard count frames will be
-// tagged with; plain worlds pass 1.
+// tagged with, at most maxShards; plain worlds pass 1.
 func New(w io.Writer, meta map[string]string, shards int, opts ...Option) (*Recorder, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("flightrec: %d shards", shards)
+	if shards < 1 || shards > maxShards {
+		return nil, fmt.Errorf("flightrec: %d shards (want 1 to %d)", shards, maxShards)
 	}
 	r := &Recorder{
 		bw:      bufio.NewWriterSize(w, 1<<16),

@@ -160,6 +160,17 @@ func (d *dec) u() uint64 {
 	return v
 }
 
+// shard decodes a frame's shard index, failing on one no recorder writes
+// (see maxShards).
+func (d *dec) shard() int {
+	v := d.u()
+	if v >= maxShards {
+		d.fail("shard %d out of range (limit %d)", v, maxShards)
+		return 0
+	}
+	return int(v)
+}
+
 func (d *dec) i() int64 {
 	if d.err != nil {
 		return 0

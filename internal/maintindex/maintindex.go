@@ -87,9 +87,9 @@ type Config struct {
 	// UniformLoadGbps is the total offered load for the throughput probe;
 	// 0 derives full injection from host NIC speeds.
 	UniformLoadGbps float64
-	// Workers bounds the goroutines the routing engine may use to rebuild
-	// per-destination state during the probe and drain sweep (0 = serial).
-	// A throughput knob only: the report is identical at any setting.
+	// Workers is ignored: the routing engine rebuilds serially.
+	//
+	// Deprecated: it has no effect and will be removed.
 	Workers int
 }
 
@@ -164,7 +164,6 @@ func Evaluate(net *topology.Network, cfg Config) Report {
 		}
 	}
 	router := routing.NewRouter(net, nil)
-	router.Workers = cfg.Workers
 	tm := routing.UniformMatrix(net, load)
 	var ws routing.Workspace
 	base := router.EvaluateInto(&ws, tm)

@@ -51,20 +51,14 @@
 // fabric, the maintindex sweep's every other step — the shelved structure
 // is restored wholesale, with no re-enumeration at all.
 //
-// Rebuilds are independent per root (pure functions of the distance field,
-// adjacency order and the usable set), so they shard across Workers
-// goroutines; worker count is a throughput knob, never a results knob.
-// EvaluateInto adds to every link, in demand order, exactly the values the
-// per-pair paths would, so every float summation order — and therefore the
-// Assessment — is byte-identical to the per-pair specification at any
-// worker count.
+// A root that is neither valid nor restorable is rebuilt into a recycled
+// structure as soon as prepareDests meets it. EvaluateInto adds to every
+// link, in demand order, exactly the values the per-pair paths would, so
+// every float summation order — and therefore the Assessment — is
+// byte-identical to the per-pair specification.
 package routing
 
-import (
-	"sync"
-
-	"repro/internal/topology"
-)
+import "repro/internal/topology"
 
 // maxPaths bounds the equal-cost paths a demand splits over: every device's
 // suffix list is capped at it.
@@ -94,17 +88,10 @@ type destRoute struct {
 	tail int32
 }
 
-// buildJob is one pending root rebuild, resolved in prepareDests and
-// executed by buildDest (possibly on a worker goroutine).
-type buildJob struct {
-	root topology.DeviceID
-	ds   *destState
-	e    distEntry
-}
-
-// destBuilder is per-worker scratch for buildDest: the counting-sort
-// buffers that order devices by ascending BFS distance, and the transit
-// marks (devices some other device draws suffixes from).
+// destBuilder is buildDest's scratch, retained on the router across
+// rebuilds: the counting-sort buffers that order devices by ascending BFS
+// distance, and the transit marks (devices some other device draws suffixes
+// from).
 type destBuilder struct {
 	order   []topology.DeviceID
 	bucket  []int32
@@ -206,17 +193,14 @@ func (r *Router) resolveRoot(dst topology.DeviceID) (topology.DeviceID, int32) {
 // prepareDests makes every destination of the matrix current: distinct
 // destinations are resolved to their roots in first-appearance order, and
 // each root's valid structure is kept, a signature-matching shelved
-// structure is restored, or the structure is rebuilt — sharded round-robin
-// across Workers goroutines when more than one rebuild is pending. Either
+// structure is restored, or the structure is rebuilt on the spot. Either
 // way the root's current structure carries its field's stamp from then on,
-// so later destinations with the same root find it valid. Rebuilds are pure
-// per-root functions, so the worker count cannot affect any result.
+// so later destinations with the same root find it valid.
 //
 //selfmaint:hotpath
 func (r *Router) prepareDests(tm TrafficMatrix) {
 	r.destSeq++
 	seq := r.destSeq
-	pending := r.pending[:0]
 	for i := range tm.Demands {
 		dst := tm.Demands[i].Dst
 		if r.route[dst].seq == seq {
@@ -239,9 +223,7 @@ func (r *Router) prepareDests(tm TrafficMatrix) {
 			continue
 		}
 		ds := r.takeState()
-		ds.stamp = e.stamp // buildDest stamps it too; set now for the destinations after this one
-		//lint:allow hotpathalloc rebuild queue growth; the slice is retained on the router and reused every evaluation
-		pending = append(pending, buildJob{root: root, ds: ds, e: e})
+		r.buildDest(ds, root, e)
 		r.destCur[root] = ds
 		if cur != nil {
 			// Demote the stale structure to the shelf: the subgraph may
@@ -253,50 +235,6 @@ func (r *Router) prepareDests(tm TrafficMatrix) {
 			r.destShelf[root] = cur
 		}
 	}
-	r.pending = pending
-	if len(pending) == 0 {
-		return
-	}
-	workers := r.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	if workers <= 1 {
-		b := r.builderFor(0)
-		for _, j := range pending {
-			r.buildDest(b, j.ds, j.root, j.e)
-		}
-		return
-	}
-	r.runBuilds(pending, workers)
-}
-
-// runBuilds shards the pending rebuilds round-robin across workers
-// goroutines. It lives outside prepareDests so the goroutine closure's
-// captures are heap-moved only when rebuilds actually run in parallel —
-// the warm evaluation path stays allocation-free.
-func (r *Router) runBuilds(pending []buildJob, workers int) {
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int, b *destBuilder) {
-			defer wg.Done()
-			for i := w; i < len(pending); i += workers {
-				j := pending[i]
-				r.buildDest(b, j.ds, j.root, j.e)
-			}
-		}(w, r.builderFor(w))
-	}
-	wg.Wait()
-}
-
-// builderFor returns worker w's scratch, growing the pool on first use.
-func (r *Router) builderFor(w int) *destBuilder {
-	for len(r.builders) <= w {
-		//lint:allow hotpathalloc per-worker scratch pool grows once on first use, then is reused
-		r.builders = append(r.builders, &destBuilder{})
-	}
-	return r.builders[w]
 }
 
 // buildDest materializes root's suffix structure over distance field e.
@@ -308,12 +246,9 @@ func (r *Router) builderFor(w int) *destBuilder {
 // exactly (a consumer takes at most maxPaths suffixes from any one
 // downstream device, always its first ones).
 //
-// The function only reads shared router state (distance field, adjacency,
-// the usability snapshot) and writes ds, so concurrent builds of different
-// roots are race-free.
-//
 //selfmaint:hotpath
-func (r *Router) buildDest(b *destBuilder, ds *destState, root topology.DeviceID, e distEntry) {
+func (r *Router) buildDest(ds *destState, root topology.DeviceID, e distEntry) {
+	b := &r.builder
 	nd := len(r.net.Devices)
 	ds.start = grow(ds.start, nd)
 	ds.count = grow(ds.count, nd)
@@ -344,7 +279,7 @@ func (r *Router) buildDest(b *destBuilder, ds *destState, root topology.DeviceID
 		pos += n
 	}
 	if cap(b.order) < reach {
-		//lint:allow hotpathalloc builder scratch growth on first use; the buffer is retained per worker, steady state allocates nothing
+		//lint:allow hotpathalloc builder scratch growth on first use; the buffer is retained on the router, steady state allocates nothing
 		b.order = make([]topology.DeviceID, reach)
 	}
 	order := b.order[:reach]

@@ -277,22 +277,21 @@ func mixedMatrix(net *topology.Network, uniform TrafficMatrix) (TrafficMatrix, [
 // roots until drains and faults leave them one rail) × randomized
 // drain/fault/repair sequences over every link (host links included, so
 // sources lose uplinks and become unreachable) × seeds × five matrices, an
-// incrementally maintained engine router at every worker count produces
-// Assessments byte-identical to referenceEvaluate over the spec paths of a
-// router that full-flushes after every change. The uniform matrix at 700
-// Gbps never overloads a link; at full and twice-full host injection it
-// does, so both branches of the satisfaction pass and the path factors'
-// first hop and tail are pinned. The endpoint matrix, at full host
+// incrementally maintained engine router produces Assessments
+// byte-identical to referenceEvaluate over the spec paths of a router that
+// full-flushes after every change. The uniform matrix at 700 Gbps never
+// overloads a link; at full and twice-full host injection it does, so both
+// branches of the satisfaction pass and the path factors' first hop and
+// tail are pinned. The endpoint matrix, at full host
 // injection split over the hosts, overloads host links and puts sources at
 // their destination's root. The mixed matrix (mixedMatrix), at full host
 // injection, pins the run boundaries: a rate change, a self-pair and a
 // root change each end a run, a duplicated demand stays in its run, and
 // the tails of one run carry different overloads. Once per step, for the
-// full-injection uniform matrix and the endpoint matrix, the workers=1
-// engine's WorstPairLatency must equal specWorstLatency exactly, under 20%
-// loss on one random link and a small loss elsewhere.
+// full-injection uniform matrix and the endpoint matrix, the engine's
+// WorstPairLatency must equal specWorstLatency exactly, under 20% loss on
+// one random link and a small loss elsewhere.
 func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
-	workerCounts := []int{1, 2, 4, 8}
 	lm := DefaultLatencyModel()
 	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander", "aicluster"} {
 		for _, seed := range []uint64{3, 11, 29} {
@@ -300,12 +299,8 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 			down := map[topology.LinkID]bool{}
 			health := func(id topology.LinkID) bool { return !down[id] }
 			ref := NewRouter(net, health)
-			engines := make([]*Router, len(workerCounts))
-			wss := make([]Workspace, len(workerCounts))
-			for i, w := range workerCounts {
-				engines[i] = NewRouter(net, health)
-				engines[i].Workers = w
-			}
+			engine := NewRouter(net, health)
+			var ws Workspace
 			full := hostInjection(net)
 			const fullLoad = 1 // index of full host injection in tms
 			tms := []TrafficMatrix{UniformMatrix(net, 700), UniformMatrix(net, full), UniformMatrix(net, 2*full)}
@@ -322,19 +317,13 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 					down[l.ID] = false
 				case 2:
 					ref.Drain(l.ID)
-					for _, e := range engines {
-						e.Drain(l.ID)
-					}
+					engine.Drain(l.ID)
 				case 3:
 					ref.Undrain(l.ID)
-					for _, e := range engines {
-						e.Undrain(l.ID)
-					}
+					engine.Undrain(l.ID)
 				}
 				ref.InvalidateLink(l.ID)
-				for _, e := range engines {
-					e.InvalidateLink(l.ID)
-				}
+				engine.InvalidateLink(l.ID)
 				ref.Invalidate() // the reference always full-flushes
 				lossy := net.Links[lossRng.IntN(len(net.Links))].ID
 				loss := func(id topology.LinkID) float64 {
@@ -345,17 +334,14 @@ func TestDestRootedMatchesPerPairEnumerator(t *testing.T) {
 				}
 				check := func(tm TrafficMatrix, paths [][]topology.Path, latency bool) {
 					want := referenceEvaluate(net, tm, paths)
-					for i, e := range engines {
-						got := e.EvaluateInto(&wss[i], tm)
-						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%s seed %d step %d %s %.0f Gbps workers=%d: engine %v != per-pair reference %v",
-								kind, seed, step, tm.Name, tm.TotalGbps(), workerCounts[i], got, want)
-						}
+					if got := engine.EvaluateInto(&ws, tm); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d step %d %s %.0f Gbps: engine %v != per-pair reference %v",
+							kind, seed, step, tm.Name, tm.TotalGbps(), got, want)
 					}
 					if !latency {
 						return
 					}
-					got := lm.WorstPairLatency(engines[0], tm, want, loss)
+					got := lm.WorstPairLatency(engine, tm, want, loss)
 					if wantLat := specWorstLatency(lm, net, paths, want, loss); got != wantLat {
 						t.Fatalf("%s seed %d step %d %s: WorstPairLatency %+v != spec %+v", kind, seed, step, tm.Name, got, wantLat)
 					}
@@ -465,9 +451,8 @@ func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	root, _ := r.resolveRoot(dst)
 	e := r.distEntryFor(root)
 	ds := r.destCur[root]
-	b := r.builderFor(0)
-	r.buildDest(b, ds, root, e) // size the builder scratch and arena
-	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(b, ds, root, e) }); allocs > 0 {
+	r.buildDest(ds, root, e) // size the builder scratch and arena
+	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(ds, root, e) }); allocs > 0 {
 		t.Fatalf("buildDest into recycled state allocated %.1f/op, want 0", allocs)
 	}
 }

@@ -72,12 +72,6 @@ type Router struct {
 	health  HealthFn
 	drained []bool
 
-	// Workers bounds the goroutines used to rebuild the roots' structures
-	// inside EvaluateInto (0 or 1 means serial). Rebuilds are pure per-root
-	// functions, so the worker count is a throughput knob only: results are
-	// byte-identical at any setting.
-	Workers int
-
 	// distCache holds each root's distance field and tight-link bitset,
 	// indexed by DeviceID. Every cached field is exact for the current
 	// snapshot: transitions repair or evict fields eagerly, and only root
@@ -110,8 +104,7 @@ type Router struct {
 	destCur     []*destState
 	destShelf   []*destState
 	freeStates  []*destState
-	builders    []*destBuilder
-	pending     []buildJob
+	builder     destBuilder // buildDest's scratch
 	destSeq     uint64
 	subgraphSig uint64 // Zobrist hash of the usable link set
 }
@@ -462,7 +455,7 @@ type Workspace struct {
 // factor before the tail once per run and folds in each demand's tail
 // factor; when no link is overloaded every factor is 1, and a run's
 // achieved rate is its share added n times. The Assessment is therefore
-// byte-identical to the per-pair specification at any Workers setting.
+// byte-identical to the per-pair specification.
 //
 //selfmaint:hotpath
 func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
