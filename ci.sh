@@ -29,6 +29,9 @@ go test -run '^$' -fuzz '^FuzzEvaluateMatchesSpec$' -fuzztime 10s ./internal/rou
 echo "== fuzz (flight-recording reader: error, never panic, 10 s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/flightrec
 
+echo "== fuzz (wire frame reader: envelope or error, never panic, 10 s)"
+go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/wire
+
 echo "== shard-diff (sharded == single-engine, all worker counts)"
 make shard-diff
 

@@ -45,6 +45,7 @@ import (
 	"time"
 
 	"repro/internal/controlplane"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/selfmaint"
 )
@@ -127,7 +128,10 @@ func runLoad(cfg config, out io.Writer) error {
 	}
 
 	if cfg.benchJSON != "" {
-		if err := upsertBench(cfg.benchJSON, s.WallSeconds, cfg.watchers); err != nil {
+		// The watched run's wall time is the "cpload" experiment, next to the
+		// simulation experiments in the bench artifact.
+		e := scenario.ExperimentBench{ID: "cpload", Workers: cfg.watchers, WallSeconds: s.WallSeconds}
+		if err := scenario.UpsertBench(cfg.benchJSON, e); err != nil {
 			return fmt.Errorf("bench artifact: %w", err)
 		}
 	}

@@ -7,7 +7,8 @@
 //	GET /tickets    — ticket list (JSON)
 //	GET /health     — observable link health (JSON)
 //	GET /log        — recent controller decisions (JSON)
-//	GET /events     — recent pipeline bus events, all topics (JSON)
+//	GET /events     — the hub's retained pipeline bus events, all topics,
+//	                  oldest first (JSON)
 //	GET /v1/stream  — streaming control plane: session handshake, then
 //	                  snapshot + live deltas over SSE (see maintctl watch)
 //	GET /v1/stats   — control-plane hub statistics and sessions (JSON)
@@ -22,10 +23,12 @@
 // the daemon streams its full event history to a flight recording; replay
 // it with `maintctl replay FILE`.
 //
-// The read endpoints are served from the control-plane hub's materialized
-// view — rendered once per pacing step by the feed — so requests never
-// block the simulation, and any number of /v1/stream watchers observe the
-// run without perturbing it. Every exit path (signal, listener error, serve
+// The read endpoints are served from the control-plane hub, whose frames
+// the feed renders once per pacing step: /status, /tickets and /health from
+// its materialized view, /events from its retention ring (the window a
+// resuming /v1/stream watcher can replay). So those requests never wait for
+// the simulation, and any number of /v1/stream watchers observe the run
+// without perturbing it. Every exit path (signal, listener error, serve
 // error) funnels through one shutdown sequence: stop the pacing ticker,
 // drain HTTP with a deadline, then close the flight recording (trailer +
 // fingerprint; an empty recording is deleted rather than left truncated).
@@ -67,7 +70,6 @@ type config struct {
 	accel     float64
 	seed      uint64
 	record    string
-	eventBuf  int
 	tickEvery time.Duration
 }
 
@@ -84,7 +86,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	fs.Float64Var(&cfg.accel, "accel", 20, "fault acceleration")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "seed")
 	fs.StringVar(&cfg.record, "record", "", "write a flight recording of the run to this file")
-	fs.IntVar(&cfg.eventBuf, "event-buffer", 1024, "recent bus events retained for /events")
 	fs.DurationVar(&cfg.tickEvery, "tick", time.Second, "wall-clock pacing interval (mainly for tests)")
 	if err := fs.Parse(args); err != nil {
 		return cfg, err
@@ -101,9 +102,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	if !(cfg.accel > 0) || math.IsInf(cfg.accel, 0) {
 		return cfg, fmt.Errorf("-accel %g invalid: must be a positive, finite fault-rate multiplier", cfg.accel)
 	}
-	if cfg.eventBuf <= 0 {
-		return cfg, fmt.Errorf("-event-buffer %d invalid: must retain at least one event", cfg.eventBuf)
-	}
 	if cfg.tickEvery <= 0 {
 		return cfg, fmt.Errorf("-tick %v invalid: must be a positive duration", cfg.tickEvery)
 	}
@@ -111,17 +109,16 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 }
 
 // daemon owns the paced simulation and everything serving it. The mutex
-// guards the cluster and the event ring; the hub has its own lock and the
-// read endpoints serve from its materialized view without touching mu.
+// guards the cluster; the hub has its own lock, and the endpoints that
+// serve from it never touch mu.
 type daemon struct {
 	cfg  config
 	hub  *controlplane.Hub
 	feed *selfmaint.Feed
 
-	mu     sync.Mutex
-	c      *selfmaint.Cluster
-	events eventRing
-	steps  int
+	mu    sync.Mutex
+	c     *selfmaint.Cluster
+	steps int
 
 	rec     *selfmaint.Recording
 	recFile *os.File
@@ -134,55 +131,9 @@ type daemon struct {
 	shutErr  error
 }
 
-// eventRing keeps the most recent pipeline events. The bus tap that fills
-// it fires synchronously inside Run, so daemon.mu already guards it. The
-// ring retains the typed events as published; rendering to JSON rows
-// happens at request time, keeping the per-event tap cost to one slot
-// assignment (see BenchmarkEventTap).
-type eventRing struct {
-	buf  []selfmaint.Event
-	next int
-	full bool
-}
-
-type eventRow struct {
-	At      string `json:"at"`
-	Seq     uint64 `json:"seq"`
-	Topic   string `json:"topic"`
-	Payload string `json:"payload"`
-}
-
-func (r *eventRing) add(ev selfmaint.Event) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, ev)
-		return
-	}
-	r.buf[r.next] = ev
-	r.next = (r.next + 1) % len(r.buf)
-	r.full = true
-}
-
-// all renders the retained events oldest-first. Never nil: an empty ring is
-// an empty JSON array, not null.
-func (r *eventRing) all() []eventRow {
-	var evs []selfmaint.Event
-	if r.full {
-		evs = append(evs, r.buf[r.next:]...)
-		evs = append(evs, r.buf[:r.next]...)
-	} else {
-		evs = r.buf
-	}
-	rows := make([]eventRow, 0, len(evs))
-	for _, ev := range evs {
-		rows = append(rows, eventRow{At: ev.At.String(), Seq: ev.Seq,
-			Topic: string(ev.Topic), Payload: fmt.Sprint(ev.Payload)})
-	}
-	return rows
-}
-
-// newDaemon builds the cluster, hub, feed, event tap and (optionally) the
-// flight recording. On error nothing is left behind: a created recording
-// file is removed.
+// newDaemon builds the cluster, hub, feed and (optionally) the flight
+// recording. On error nothing is left behind: a created recording file is
+// removed.
 func newDaemon(cfg config) (*daemon, error) {
 	c, err := selfmaint.NewCluster(
 		selfmaint.WithSeed(cfg.seed),
@@ -195,8 +146,6 @@ func newDaemon(cfg config) (*daemon, error) {
 		return nil, err
 	}
 	d := &daemon{cfg: cfg, c: c, hub: controlplane.NewHub(controlplane.Config{})}
-	d.events.buf = make([]selfmaint.Event, 0, cfg.eventBuf)
-	c.TapEvents(d.events.add)
 
 	if cfg.record != "" {
 		f, err := os.Create(cfg.record)
@@ -377,11 +326,9 @@ func (d *daemon) decisionLog(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, lines)
 }
 
+// busEvents serves the bus events the hub still retains, oldest first.
 func (d *daemon) busEvents(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	rows := d.events.all()
-	d.mu.Unlock()
-	writeJSON(w, rows)
+	writeRawJSON(w, d.hub.Events())
 }
 
 // stats reports the control-plane hub's counters and session registry.

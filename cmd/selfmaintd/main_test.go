@@ -2,82 +2,9 @@ package main
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http/httptest"
 	"testing"
-
-	"repro/internal/bus"
-	"repro/internal/sim"
-	"repro/selfmaint"
 )
-
-func ringEvent(i int) selfmaint.Event {
-	return selfmaint.Event{Seq: uint64(i), At: sim.Time(i) * sim.Second,
-		Topic: bus.TopicAlert, Payload: i}
-}
-
-// TestEventRingPartial covers the pre-wrap regime, including the empty ring,
-// which must render as a non-nil (hence JSON []) slice.
-func TestEventRingPartial(t *testing.T) {
-	r := eventRing{buf: make([]selfmaint.Event, 0, 8)}
-	rows := r.all()
-	if rows == nil {
-		t.Fatal("all() on an empty ring returned nil — /events would serve JSON null")
-	}
-	if len(rows) != 0 {
-		t.Fatalf("empty ring returned %d rows", len(rows))
-	}
-	for i := 0; i < 5; i++ {
-		r.add(ringEvent(i))
-	}
-	rows = r.all()
-	if len(rows) != 5 {
-		t.Fatalf("all() = %d rows, want 5", len(rows))
-	}
-	for i, rw := range rows {
-		if rw.Seq != uint64(i) || rw.Payload != fmt.Sprint(i) {
-			t.Fatalf("row %d = %+v, want seq %d", i, rw, i)
-		}
-	}
-}
-
-// TestEventRingExactlyFull covers the boundary where the buffer has just
-// filled: next has wrapped to 0 but nothing is overwritten yet.
-func TestEventRingExactlyFull(t *testing.T) {
-	r := eventRing{buf: make([]selfmaint.Event, 0, 8)}
-	for i := 0; i < 8; i++ {
-		r.add(ringEvent(i))
-	}
-	// The 8th add landed via append; full flips on the first overwrite, so
-	// order must hold in both the almost-full and just-wrapped states.
-	rows := r.all()
-	if len(rows) != 8 || rows[0].Seq != 0 || rows[7].Seq != 7 {
-		t.Fatalf("exactly-full ring rows span %d..%d (n=%d), want 0..7",
-			rows[0].Seq, rows[len(rows)-1].Seq, len(rows))
-	}
-}
-
-// TestEventRingWrapped covers the steady state: the ring has overwritten its
-// oldest rows, and all() must splice the halves on either side of next into
-// oldest-first order.
-func TestEventRingWrapped(t *testing.T) {
-	r := eventRing{buf: make([]selfmaint.Event, 0, 8)}
-	for i := 0; i < 11; i++ {
-		r.add(ringEvent(i))
-	}
-	if !r.full || r.next != 3 {
-		t.Fatalf("after 11 adds: full=%v next=%d, want full=true next=3", r.full, r.next)
-	}
-	rows := r.all()
-	if len(rows) != 8 {
-		t.Fatalf("all() = %d rows, want 8", len(rows))
-	}
-	for i, rw := range rows {
-		if want := uint64(i + 3); rw.Seq != want {
-			t.Fatalf("row %d seq = %d, want %d", i, rw.Seq, want)
-		}
-	}
-}
 
 // TestWriteJSONError verifies the satellite fix: an unencodable value must
 // produce a 500, not a silently empty 200.
@@ -95,37 +22,5 @@ func TestWriteJSONError(t *testing.T) {
 	var out []string
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil || out == nil {
 		t.Fatalf("writeJSON([]) body %q did not round-trip to an empty array (err %v)", rec.Body.String(), err)
-	}
-}
-
-// BenchmarkEventTap measures the hot bus-tap path: add must be one slot
-// assignment, with rendering deferred to request time.
-func BenchmarkEventTap(b *testing.B) {
-	r := eventRing{buf: make([]selfmaint.Event, 0, 1024)}
-	ev := selfmaint.Event{Seq: 1, At: sim.Hour, Topic: bus.TopicAlert,
-		Payload: struct {
-			Link  string
-			Flaps int
-		}{"leaf0/p0", 3}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.add(ev)
-	}
-}
-
-// BenchmarkEventTapEagerRender is the pre-fix behaviour (stringify every
-// payload at tap time) kept as the comparison baseline for the alloc drop.
-func BenchmarkEventTapEagerRender(b *testing.B) {
-	type row struct{ at, topic, payload string }
-	buf := make([]row, 1024)
-	ev := selfmaint.Event{Seq: 1, At: sim.Hour, Topic: bus.TopicAlert,
-		Payload: struct {
-			Link  string
-			Flaps int
-		}{"leaf0/p0", 3}}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf[i%len(buf)] = row{at: ev.At.String(), topic: string(ev.Topic),
-			payload: fmt.Sprint(ev.Payload)}
 	}
 }

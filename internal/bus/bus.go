@@ -109,7 +109,8 @@ func (b *Bus) Subscribe(t Topic, fn Handler) *Subscription {
 
 // Tap registers fn for every topic. Taps run before topic subscribers and
 // see events in publish order — the observability stream the journal and
-// the daemon's /events endpoint hang off.
+// the control-plane feed (behind the daemon's /v1/stream and /events) hang
+// off.
 func (b *Bus) Tap(fn Handler) *Subscription {
 	s := &Subscription{bus: b, tap: true, fn: fn, active: true}
 	b.taps = append(b.taps, s)

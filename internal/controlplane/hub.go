@@ -289,14 +289,45 @@ func (a *Attachment) Take(max int) (frames []*Frame, drops []byte) {
 // coversLocked reports whether frame sequence s is still in the retention
 // ring.
 func (h *Hub) coversLocked(s uint64) bool {
-	if s > h.seq {
-		return true // nothing to replay at all
-	}
-	oldest := uint64(1)
+	return s > h.seq || s >= h.oldestLocked()
+}
+
+// oldestLocked is the sequence of the oldest retained frame (h.seq+1 when
+// nothing has been published).
+func (h *Hub) oldestLocked() uint64 {
 	if h.seq > uint64(len(h.ring)) {
-		oldest = h.seq - uint64(len(h.ring)) + 1
+		return h.seq - uint64(len(h.ring)) + 1
 	}
-	return s >= oldest
+	return 1
+}
+
+// Events returns the retained unkeyed frames (the transient event stream)
+// as a JSON array of the delta objects the stream endpoint sends, oldest
+// first: exactly the window a resuming watcher can still replay. An empty
+// window is "[]", never null.
+func (h *Hub) Events() []byte {
+	h.mu.Lock()
+	var frames []*Frame
+	for s := h.oldestLocked(); s <= h.seq; s++ {
+		if f := h.ring[(s-1)%uint64(len(h.ring))]; f.Key == "" {
+			frames = append(frames, f)
+		}
+	}
+	h.mu.Unlock()
+	// Published frames are immutable, so their wire bytes are read unlocked.
+	n := 2
+	for _, f := range frames {
+		n += len(f.wire) + 1
+	}
+	b := make([]byte, 0, n)
+	b = append(b, '[')
+	for i, f := range frames {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, f.wire...)
+	}
+	return append(b, ']')
 }
 
 // replayLocked seeds c's queue with the retained frames in (after, seq]

@@ -244,6 +244,59 @@ func TestResumeFallsBackToSnapshotWhenOverrun(t *testing.T) {
 	}
 }
 
+// Events serves the retained unkeyed frames oldest first, as the delta
+// objects the stream sends: nothing on an empty hub, the event frames of a
+// partly filled or exactly full ring, and after the ring wraps only the
+// event frames still retained. Keyed cp.* frames never appear.
+func TestEventsViewRetainedUnkeyedFrames(t *testing.T) {
+	h := NewHub(Config{Retain: 4})
+	events := func() []uint64 {
+		t.Helper()
+		var rows []struct {
+			Seq     uint64          `json:"seq"`
+			At      string          `json:"at"`
+			Topic   Topic           `json:"topic"`
+			Key     string          `json:"key"`
+			Payload json.RawMessage `json:"payload"`
+		}
+		raw := h.Events()
+		if err := json.Unmarshal(raw, &rows); err != nil || rows == nil {
+			t.Fatalf("Events() = %s: not a JSON array (%v)", raw, err)
+		}
+		seqs := []uint64{}
+		for _, r := range rows {
+			if r.Topic != "ev" || r.Key != "" || r.At != sim.Hour.String() {
+				t.Fatalf("row %+v: want an unkeyed ev frame at %v", r, sim.Hour)
+			}
+			if want := fmt.Sprintf(`{"i":%d}`, r.Seq); string(r.Payload) != want {
+				t.Fatalf("row %d payload = %s, want %s", r.Seq, r.Payload, want)
+			}
+			seqs = append(seqs, r.Seq)
+		}
+		return seqs
+	}
+	ev := func() { pub(h, "ev", "", fmt.Sprintf(`{"i":%d}`, h.Seq()+1)) }
+
+	if got := string(h.Events()); got != "[]" {
+		t.Fatalf("empty hub Events() = %s, want []", got)
+	}
+	ev()                                     // 1
+	pub(h, TopicStatus, "status", `{"v":1}`) // 2
+	ev()                                     // 3
+	if got := events(); fmt.Sprint(got) != "[1 3]" {
+		t.Fatalf("partly filled ring serves seqs %v, want [1 3]", got)
+	}
+	ev() // 4
+	if got := events(); fmt.Sprint(got) != "[1 3 4]" {
+		t.Fatalf("exactly full ring serves seqs %v, want [1 3 4]", got)
+	}
+	pub(h, TopicHealth, "linkA", `{"h":"down"}`) // 5
+	ev()                                         // 6
+	if got := events(); fmt.Sprint(got) != "[3 4 6]" {
+		t.Fatalf("wrapped ring serves seqs %v, want [3 4 6] (frames 3..6 retained)", got)
+	}
+}
+
 func TestResumeUnknownTokenStartsFreshSession(t *testing.T) {
 	h := NewHub(Config{})
 	pub(h, TopicStatus, "status", `{"v":1}`)
@@ -405,6 +458,22 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 			}
 		}(w)
 	}
+	// An /events reader beside the stream readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			if b := h.Events(); !json.Valid(b) {
+				errs <- fmt.Errorf("Events() during publishing is not JSON: %.80s", b)
+				return
+			}
+			select {
+			case <-done:
+				return
+			default:
+			}
+		}
+	}()
 	wg.Wait()
 	<-done
 	close(errs)

@@ -123,8 +123,9 @@ func (j *journal) tail(n int) []JournalEntry {
 }
 
 // log publishes a controller decision on the bus; the journal retains it
-// via its journal.decision subscription, and any tap (the daemon's /events
-// stream, tests) sees it in order with the rest of the pipeline's events.
+// via its journal.decision subscription, and any tap (the control-plane
+// feed behind the daemon's /events, tests) sees it in order with the rest
+// of the pipeline's events.
 func (c *Controller) log(kind EventKind, ticketID int, link, detail string) {
 	c.d.Bus.Publish(bus.TopicDecision, JournalEntry{
 		At: c.d.Eng.Now(), Kind: kind, Ticket: ticketID, Link: link, Detail: detail,

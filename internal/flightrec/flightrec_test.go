@@ -2,6 +2,8 @@ package flightrec
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -443,8 +445,18 @@ func TestTruncatedRecording(t *testing.T) {
 			t.Fatal("truncated stream read cleanly to EOF")
 		}
 		if err != nil {
-			return // truncation surfaced as an explicit error
+			break // truncation surfaced as an explicit error
 		}
+	}
+
+	// A frame cut right after its length prefix is a truncation too, even
+	// to errors.Is: the error must not wrap io.EOF.
+	rd, err = NewReader(bytes.NewReader(binary.AppendUvarint(header(0), 5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Next(); err == nil || errors.Is(err, io.EOF) {
+		t.Fatalf("frame with no body: Next() = %v, want a truncation error that is not io.EOF", err)
 	}
 }
 

@@ -38,6 +38,16 @@ func hostileStateRecording() []byte {
 // hostileMetaRecording is an 8-byte header claiming 2^20 metadata entries.
 func hostileMetaRecording() []byte { return header(1 << 20) }
 
+// hostileFrameLenRecording is an 11-byte file whose one frame claims
+// maxFrameLen (16 MiB) bytes and holds one.
+func hostileFrameLenRecording() []byte {
+	return append(binary.AppendUvarint(header(0), maxFrameLen), byte(KindEvent))
+}
+
+// hostileMetaStringRecording is a 10-byte header whose first metadata key
+// claims maxFrameLen bytes and holds none.
+func hostileMetaStringRecording() []byte { return binary.AppendUvarint(header(1), maxFrameLen) }
+
 // allocatedBytes returns the heap bytes allocated while fn runs.
 func allocatedBytes(fn func()) uint64 {
 	var before, after runtime.MemStats
@@ -87,10 +97,12 @@ func TestNewBoundsShardCount(t *testing.T) {
 	}
 }
 
-// A count read from the file must not size an allocation before the bytes
-// behind it are read: a state frame claiming 16 Mi entries in a 6-byte
-// body, and a header claiming 2^20 metadata entries, each fail after
-// allocating little beyond the reader's 64 KiB buffer.
+// A count or length read from the file must not size an allocation before
+// the bytes behind it are read: a state frame claiming 16 Mi entries in a
+// 6-byte body, a header claiming 2^20 metadata entries, a frame claiming
+// 16 MiB in an 11-byte file, and a metadata key claiming 16 MiB in a
+// 10-byte header each fail after allocating little beyond the reader's
+// 64 KiB buffer.
 func TestReaderBoundsUntrustedCounts(t *testing.T) {
 	const limit = 1 << 20
 	for _, c := range []struct {
@@ -99,6 +111,8 @@ func TestReaderBoundsUntrustedCounts(t *testing.T) {
 	}{
 		{"state entries", hostileStateRecording()},
 		{"metadata entries", hostileMetaRecording()},
+		{"frame length", hostileFrameLenRecording()},
+		{"metadata string length", hostileMetaStringRecording()},
 	} {
 		var err error
 		n := allocatedBytes(func() { _, err = Replay(bytes.NewReader(c.data)) })
@@ -117,7 +131,8 @@ func TestReaderBoundsUntrustedCounts(t *testing.T) {
 func FuzzReader(f *testing.F) {
 	data, _, _ := record(f, 3)
 	for _, seed := range [][]byte{data, data[:len(data)/2],
-		hostileShardRecording(), hostileStateRecording(), hostileMetaRecording()} {
+		hostileShardRecording(), hostileStateRecording(), hostileMetaRecording(),
+		hostileFrameLenRecording(), hostileMetaStringRecording()} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {

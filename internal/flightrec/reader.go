@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -12,6 +13,10 @@ import (
 // maxFrameLen bounds a single frame so a corrupt length prefix cannot ask
 // for gigabytes. Real frames are tens of bytes; trailers a few kilobytes.
 const maxFrameLen = 16 << 20
+
+// readStep is the Reader's input buffer size, and the most its body
+// buffer grows by before the bytes to fill the growth have arrived.
+const readStep = 1 << 16
 
 // maxShards bounds a recording's shard count: New refuses more, and the
 // reader rejects a frame whose shard index is not below it, since it grows
@@ -24,7 +29,10 @@ const maxShards = 1 << 12
 // demand (the shard count is implied by the frames, not the header, so old
 // readers need no header change when shard counts grow).
 type Reader struct {
-	br   *bufio.Reader
+	br *bufio.Reader
+	// buf holds the frame body or metadata string being decoded; it is
+	// reused, so nothing decoded from it may alias it.
+	buf  []byte
 	strs []string
 	meta map[string]string
 
@@ -37,7 +45,7 @@ type Reader struct {
 // NewReader opens a recording: it validates the magic and version and
 // reads the metadata block.
 func NewReader(rd io.Reader) (*Reader, error) {
-	r := &Reader{br: bufio.NewReaderSize(rd, 1<<16)}
+	r := &Reader{br: bufio.NewReaderSize(rd, readStep)}
 	var m [4]byte
 	if _, err := io.ReadFull(r.br, m[:]); err != nil {
 		return nil, fmt.Errorf("flightrec: reading magic: %w", err)
@@ -82,11 +90,30 @@ func (r *Reader) readRaw() (string, error) {
 	if n > maxFrameLen {
 		return "", fmt.Errorf("string length %d exceeds limit", n)
 	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return "", err
+	b, err := r.read(int(n))
+	return string(b), err
+}
+
+// read reads the next n bytes into r.buf and returns them. The buffer
+// grows by at most readStep ahead of the bytes read, so a length the input
+// does not back costs little more than the bytes it holds. Input ending
+// before n bytes is io.ErrUnexpectedEOF, never io.EOF: only Next's length
+// read may report a clean end.
+func (r *Reader) read(n int) ([]byte, error) {
+	b := r.buf[:0]
+	for len(b) < n {
+		step := min(n-len(b), readStep)
+		b = slices.Grow(b, step)
+		if _, err := io.ReadFull(r.br, b[len(b):len(b)+step]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		b = b[:len(b)+step]
 	}
-	return string(buf), nil
+	r.buf = b
+	return b, nil
 }
 
 // Next returns the next frame. A clean end of stream returns io.EOF; a
@@ -102,8 +129,8 @@ func (r *Reader) Next() (Frame, error) {
 	if n == 0 || n > maxFrameLen {
 		return Frame{}, fmt.Errorf("flightrec: frame length %d out of range", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r.br, body); err != nil {
+	body, err := r.read(int(n))
+	if err != nil {
 		return Frame{}, fmt.Errorf("flightrec: truncated frame (%d bytes wanted): %w", n, err)
 	}
 	d := &dec{b: body, strs: &r.strs}

@@ -2,8 +2,8 @@
 // a compact binary, schema-evolving, delta-compressed capture of the full
 // event stream — every bus event on every topic, journal entries, periodic
 // metric snapshots, end-of-run state, and run metadata (seed, level,
-// config). The in-memory rings (core.journal, the daemon's eventRing) drop
-// history; a recording keeps all of it, and because the simulation is
+// config). The in-memory rings (core.journal, the control-plane hub's
+// retention ring) drop history; a recording keeps all of it, and because the simulation is
 // deterministic, capture-once/analyze-many works: a recording replays into
 // the exact report the live run produced, without re-simulating.
 //

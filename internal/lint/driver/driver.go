@@ -24,6 +24,7 @@ import (
 	"repro/internal/lint/analysis"
 	"repro/internal/lint/facts"
 	"repro/internal/lint/loader"
+	"repro/internal/scenario"
 )
 
 // Options configures one lint run.
@@ -215,7 +216,10 @@ func Run(opts Options) int {
 
 	if opts.BenchJSON != "" {
 		elapsed := time.Since(start) //lint:allow wallclock the lint driver itself measures real wall time for the bench artifact
-		if err := upsertBench(opts.BenchJSON, elapsed.Seconds()); err != nil {
+		// The lint run's wall time is the "lint" experiment, next to the
+		// simulation experiments in the bench artifact.
+		e := scenario.ExperimentBench{ID: "lint", Workers: 1, WallSeconds: elapsed.Seconds()}
+		if err := scenario.UpsertBench(opts.BenchJSON, e); err != nil {
 			fmt.Fprintf(opts.Stderr, "selfmaintlint: -bench-json: %v\n", err)
 			return 2
 		}

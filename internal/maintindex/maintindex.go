@@ -79,22 +79,22 @@ func (r Report) String() string {
 		r.Components.MediaSimplicity, r.Components.Regularity)
 }
 
-// Config tunes evaluation.
+// drainSamples caps how many single-link drains are evaluated for
+// DrainTolerance (every k-th fabric link is sampled deterministically).
+const drainSamples = 24
+
+// Config is what callers pass to Evaluate. No field changes the result:
+// Evaluate always samples up to drainSamples drains and offers full host
+// injection to its throughput probe.
 type Config struct {
-	// DrainSamples caps how many single-link drains are evaluated for
-	// DrainTolerance (every k-th fabric link is sampled deterministically).
-	DrainSamples int
-	// UniformLoadGbps is the total offered load for the throughput probe;
-	// 0 derives full injection from host NIC speeds.
-	UniformLoadGbps float64
 	// Workers is ignored: the routing engine rebuilds serially.
 	//
 	// Deprecated: it has no effect and will be removed.
 	Workers int
 }
 
-// DefaultConfig samples up to 24 drains and uses full host injection.
-func DefaultConfig() Config { return Config{DrainSamples: 24} }
+// DefaultConfig returns the zero Config.
+func DefaultConfig() Config { return Config{} }
 
 // Evaluate scores a topology.
 func Evaluate(net *topology.Network, cfg Config) Report {
@@ -152,14 +152,12 @@ func Evaluate(net *topology.Network, cfg Config) Report {
 	}
 	rep.Components.Parallelism = clamp01(float64(len(faces)) / (n / 4))
 
-	// Throughput probe and drain tolerance.
-	load := cfg.UniformLoadGbps
-	if load <= 0 {
-		for _, h := range net.Hosts() {
-			for _, p := range h.Ports {
-				if p.Link != nil {
-					load += p.Link.GbpsCap
-				}
+	// Throughput probe and drain tolerance, at full host injection.
+	var load float64
+	for _, h := range net.Hosts() {
+		for _, p := range h.Ports {
+			if p.Link != nil {
+				load += p.Link.GbpsCap
 			}
 		}
 	}
@@ -171,11 +169,7 @@ func Evaluate(net *topology.Network, cfg Config) Report {
 	rep.OfferedGbps = base.OfferedGbps
 	rep.SatisfiedGbps = base.SatisfiedGbps
 
-	samples := cfg.DrainSamples
-	if samples <= 0 {
-		samples = 24
-	}
-	step := len(fabric) / samples
+	step := len(fabric) / drainSamples
 	if step < 1 {
 		step = 1
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -222,5 +224,63 @@ func TestBenchJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*bench, back) {
 		t.Fatalf("round trip changed the artifact:\nbefore %+v\nafter  %+v", *bench, back)
+	}
+}
+
+// TestUpsertBench: UpsertBench creates a missing artifact, replaces the
+// entry with the same ID in place, appends a new ID, keeps the rest of the
+// artifact, and refuses to overwrite a file it cannot parse.
+func TestUpsertBench(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	read := func() Bench {
+		t.Helper()
+		var b Bench
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(data, &b); err != nil {
+			t.Fatalf("%v: %s", err, data)
+		}
+		return b
+	}
+	upsert := func(e ExperimentBench) {
+		t.Helper()
+		if err := UpsertBench(path, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	upsert(ExperimentBench{ID: "lint", Workers: 1, WallSeconds: 1})
+	if got := read().Experiments; len(got) != 1 || got[0].ID != "lint" || got[0].WallSeconds != 1 {
+		t.Fatalf("created artifact holds %+v", got)
+	}
+
+	b := read()
+	b.Suite = "quick"
+	b.Experiments = append([]ExperimentBench{{ID: "T6", Cells: 3}}, b.Experiments...)
+	data, _ := json.Marshal(&b)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	upsert(ExperimentBench{ID: "lint", Workers: 1, WallSeconds: 2})
+	upsert(ExperimentBench{ID: "cpload", Workers: 1000, WallSeconds: 3})
+	b = read()
+	var ids []string
+	for _, e := range b.Experiments {
+		ids = append(ids, fmt.Sprintf("%s:%g", e.ID, e.WallSeconds))
+	}
+	if got := strings.Join(ids, " "); b.Suite != "quick" || got != "T6:0 lint:2 cpload:3" {
+		t.Fatalf("after replace and append: suite %q, experiments %s; want quick, T6:0 lint:2 cpload:3", b.Suite, got)
+	}
+
+	if err := os.WriteFile(path, []byte(`{"experiments":[`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := UpsertBench(path, ExperimentBench{ID: "lint"}); err == nil {
+		t.Fatal("UpsertBench accepted a malformed artifact")
+	}
+	if data, _ := os.ReadFile(path); string(data) != `{"experiments":[` {
+		t.Fatalf("malformed artifact overwritten: %s", data)
 	}
 }

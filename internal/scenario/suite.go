@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"strings"
@@ -280,6 +282,35 @@ type Bench struct {
 	CellsPerSec      float64           `json:"cells_per_sec"`
 	TotalAllocMBytes float64           `json:"total_alloc_mbytes"`
 	Experiments      []ExperimentBench `json:"experiments"`
+}
+
+// UpsertBench records e in the bench artifact at path, replacing the entry
+// with e's ID or appending one. The artifact is created when absent; in CI
+// the experiments harness writes it first, and cmd/benchdiff then gates
+// the entry against the committed baseline like any other experiment.
+func UpsertBench(path string, e ExperimentBench) error {
+	var bench Bench
+	if b, err := os.ReadFile(path); err == nil {
+		if err := json.Unmarshal(b, &bench); err != nil {
+			return fmt.Errorf("%s: %v", path, err)
+		}
+	} else if !os.IsNotExist(err) {
+		return err
+	}
+	i := 0
+	for i < len(bench.Experiments) && bench.Experiments[i].ID != e.ID {
+		i++
+	}
+	if i == len(bench.Experiments) {
+		bench.Experiments = append(bench.Experiments, e)
+	} else {
+		bench.Experiments[i] = e
+	}
+	out, err := json.MarshalIndent(&bench, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
 // RunSuite runs the selected experiments over the runner's pool and

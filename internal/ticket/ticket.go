@@ -285,7 +285,8 @@ func (s *Store) OpenQueue() []*Ticket {
 	return q
 }
 
-// All returns every ticket ever filed, in creation order.
+// All returns every ticket ever filed, in creation order. A ticket's ID is
+// its index here: Open numbers tickets densely and nothing removes one.
 func (s *Store) All() []*Ticket { return s.tickets }
 
 // Summary aggregates resolved-ticket statistics.

@@ -73,9 +73,14 @@ func ReadFrame(r io.Reader) (*Envelope, error) {
 	if n > MaxFrame {
 		return nil, ErrFrameTooLarge
 	}
-	data := make([]byte, n)
-	if _, err := io.ReadFull(r, data); err != nil {
+	// Read through a limit rather than into a buffer of the announced size,
+	// so memory follows the bytes the peer actually sends.
+	data, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err != nil {
 		return nil, err
+	}
+	if len(data) < int(n) {
+		return nil, io.ErrUnexpectedEOF
 	}
 	var env Envelope
 	if err := json.Unmarshal(data, &env); err != nil {

@@ -41,11 +41,6 @@ type Feed struct {
 	pendingHealth []healthChange
 	dirty         []int // ticket ids touched since the last Sync, first-touch order
 	dirtySet      map[int]bool
-
-	// known indexes the ticket store by id, extended incrementally as the
-	// store grows (Store.All is append-only).
-	known   map[int]*ticket.Ticket
-	scanned int
 }
 
 // healthChange is one observable link-health transition.
@@ -63,11 +58,7 @@ type healthChange struct {
 // afterwards the caller must invoke Feed.Sync at each step edge (after each
 // Run slice) to flush accumulated deltas.
 func (c *Cluster) FeedControlPlane(h *controlplane.Hub) *Feed {
-	f := &Feed{
-		c: c, hub: h,
-		dirtySet: make(map[int]bool),
-		known:    make(map[int]*ticket.Ticket),
-	}
+	f := &Feed{c: c, hub: h, dirtySet: make(map[int]bool)}
 	f.sub = c.TapEvents(f.onEvent)
 	c.w.Inj.Subscribe(f)
 
@@ -167,17 +158,14 @@ func (f *Feed) Sync() {
 	clear(f.dirtySet)
 }
 
-// lookup resolves a ticket id against the store, extending the index over
-// any tickets created since the last call.
+// lookup resolves a ticket id against the store, or nil. A ticket's id is
+// its index in Store.All: the store numbers tickets densely as it opens
+// them and never removes one.
 func (f *Feed) lookup(id int) *ticket.Ticket {
-	if t := f.known[id]; t != nil {
-		return t
+	if all := f.c.w.Store.All(); id >= 0 && id < len(all) {
+		return all[id]
 	}
-	all := f.c.w.Store.All()
-	for ; f.scanned < len(all); f.scanned++ {
-		f.known[all[f.scanned].ID] = all[f.scanned]
-	}
-	return f.known[id]
+	return nil
 }
 
 // renderHealth is the cp.health payload: {"health":"down"}.
@@ -190,8 +178,8 @@ func renderHealth(h faults.Health) []byte {
 
 // renderEvent is the transient bus-frame payload. The frame envelope
 // already carries the virtual time and topic; the payload adds the bus
-// sequence number and the event's formatted body, mirroring the daemon's
-// /events rows.
+// sequence number and the event's formatted body. The daemon's /events
+// serves these frames as they are.
 func renderEvent(ev bus.Event) []byte {
 	text := fmt.Sprint(ev.Payload)
 	b := make([]byte, 0, 32+len(text))
