@@ -32,6 +32,9 @@ go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/flightrec
 echo "== fuzz (wire frame reader: envelope or error, never panic, 10 s)"
 go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/wire
 
+echo "== fuzz (SSE stream reader: frames then EOF, never panic, 10 s)"
+go test -run '^$' -fuzz '^FuzzSSEReader$' -fuzztime 10s ./internal/controlplane
+
 echo "== shard-diff (sharded == single-engine, all worker counts)"
 make shard-diff
 

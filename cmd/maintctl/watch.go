@@ -7,7 +7,6 @@ package main
 // (printed in the hello line, or automatic with -follow).
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -16,6 +15,8 @@ import (
 	"os"
 	"strings"
 	"time"
+
+	"repro/internal/controlplane"
 )
 
 type watchOpts struct {
@@ -74,35 +75,27 @@ func watchOnce(o *watchOpts) error {
 		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(body)))
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var event, data string
+	rd := controlplane.NewSSEReader(resp.Body)
 	seen := 0
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: "):
-			event = strings.TrimPrefix(line, "event: ")
-		case strings.HasPrefix(line, "data: "):
-			data = strings.TrimPrefix(line, "data: ")
-		case line == "":
-			if event == "" {
-				continue
+	for {
+		f, err := rd.Next()
+		if err == io.EOF {
+			return io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return err
+		}
+		if f.Event == "" {
+			continue
+		}
+		printFrame(o, f.Event, f.Data)
+		if f.Event == "delta" {
+			seen++
+			if o.n > 0 && seen >= o.n {
+				return nil
 			}
-			printFrame(o, event, data)
-			if event == "delta" {
-				seen++
-				if o.n > 0 && seen >= o.n {
-					return nil
-				}
-			}
-			event, data = "", ""
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return err
-	}
-	return io.ErrUnexpectedEOF
 }
 
 func printFrame(o *watchOpts, event, data string) {

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"io"
@@ -16,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controlplane"
 	"repro/internal/flightrec"
 	"repro/internal/sim"
 )
@@ -128,15 +128,10 @@ func TestEndpointsServeFromHub(t *testing.T) {
 		}
 	}
 
-	var lines []string
-	if err := json.Unmarshal(get("/log"), &lines); err != nil {
-		t.Fatalf("/log: %v", err)
-	}
-
 	// /events is the hub's retained bus events: no keyed cp.* state, hub
 	// sequence numbers increasing, and bus sequence numbers consecutive
 	// (every bus event becomes one hub frame).
-	var events []struct {
+	type eventRow struct {
 		Seq     uint64 `json:"seq"`
 		At      string `json:"at"`
 		Topic   string `json:"topic"`
@@ -145,6 +140,7 @@ func TestEndpointsServeFromHub(t *testing.T) {
 			Text   string `json:"text"`
 		} `json:"payload"`
 	}
+	var events []eventRow
 	if err := json.Unmarshal(get("/events"), &events); err != nil {
 		t.Fatalf("/events: %v", err)
 	}
@@ -164,6 +160,26 @@ func TestEndpointsServeFromHub(t *testing.T) {
 		}
 	}
 
+	// /log is exactly the /events rows whose topic is journal.decision.
+	var decisions []eventRow
+	for _, ev := range events {
+		if ev.Topic == "journal.decision" {
+			decisions = append(decisions, ev)
+		}
+	}
+	var lines []eventRow
+	if err := json.Unmarshal(get("/log"), &lines); err != nil {
+		t.Fatalf("/log: %v", err)
+	}
+	if len(lines) == 0 || len(lines) != len(decisions) {
+		t.Fatalf("/log has %d rows, /events has %d journal.decision rows", len(lines), len(decisions))
+	}
+	for i := range lines {
+		if lines[i] != decisions[i] || !strings.HasPrefix(lines[i].Payload.Text, "journal{") {
+			t.Fatalf("/log row %d = %+v, want the /events row %+v", i, lines[i], decisions[i])
+		}
+	}
+
 	var stats struct {
 		Steps int `json:"steps"`
 		Hub   struct {
@@ -179,10 +195,10 @@ func TestEndpointsServeFromHub(t *testing.T) {
 	}
 }
 
-// TestEventsDoNotWaitForStep holds the simulation lock, as a pacing step
-// does while it runs, and requires /events to answer anyway: it reads the
-// hub, never the cluster.
-func TestEventsDoNotWaitForStep(t *testing.T) {
+// TestReadsDoNotWaitForStep holds the simulation lock, as a pacing step
+// does while it runs, and requires every read endpoint to answer anyway:
+// they read the hub and the values each step publishes, never the cluster.
+func TestReadsDoNotWaitForStep(t *testing.T) {
 	d, err := newDaemon(testConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -194,14 +210,25 @@ func TestEventsDoNotWaitForStep(t *testing.T) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(ts.URL + "/events")
-	if err != nil {
-		t.Fatalf("GET /events while a step holds the simulation lock: %v", err)
-	}
-	defer resp.Body.Close()
-	var rows []json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil || len(rows) == 0 {
-		t.Fatalf("/events served %d rows (%v), want the first week's bus events", len(rows), err)
+	for _, tc := range []struct{ name, path string }{
+		{"status", "/status"},
+		{"tickets", "/tickets"},
+		{"health", "/health"},
+		{"log", "/log"},
+		{"events", "/events"},
+		{"stats", "/v1/stats"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := client.Get(ts.URL + tc.path)
+			if err != nil {
+				t.Fatalf("GET %s while a step holds the simulation lock: %v", tc.path, err)
+			}
+			defer resp.Body.Close()
+			body, err := io.ReadAll(resp.Body)
+			if err != nil || resp.StatusCode != http.StatusOK || !json.Valid(body) {
+				t.Fatalf("GET %s = %d (%v): %s", tc.path, resp.StatusCode, err, body)
+			}
+		})
 	}
 }
 
@@ -233,17 +260,19 @@ func TestStreamWhileStepping(t *testing.T) {
 		}
 	}()
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 8*1024*1024)
+	rd := controlplane.NewSSEReader(resp.Body)
 	var sawHello, sawSnapshot, sawDelta bool
-	for sc.Scan() && !(sawHello && sawSnapshot && sawDelta) {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "event: hello"):
+	for !(sawHello && sawSnapshot && sawDelta) {
+		f, err := rd.Next()
+		if err != nil {
+			break
+		}
+		switch f.Event {
+		case "hello":
 			sawHello = true
-		case strings.HasPrefix(line, "event: snapshot"):
+		case "snapshot":
 			sawSnapshot = true
-		case strings.HasPrefix(line, "event: delta"):
+		case "delta":
 			sawDelta = true
 		}
 	}

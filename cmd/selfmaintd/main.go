@@ -6,9 +6,11 @@
 //	GET /status     — run summary (JSON)
 //	GET /tickets    — ticket list (JSON)
 //	GET /health     — observable link health (JSON)
-//	GET /log        — recent controller decisions (JSON)
+//	GET /log        — the hub's retained controller decisions: the /events
+//	                  rows whose topic is journal.decision (JSON)
 //	GET /events     — the hub's retained pipeline bus events, all topics,
-//	                  oldest first (JSON)
+//	                  oldest first, as /v1/stream delta objects whose
+//	                  payload is {"bus_seq":N,"text":"..."} (JSON)
 //	GET /v1/stream  — streaming control plane: session handshake, then
 //	                  snapshot + live deltas over SSE (see maintctl watch)
 //	GET /v1/stats   — control-plane hub statistics and sessions (JSON)
@@ -25,13 +27,15 @@
 //
 // The read endpoints are served from the control-plane hub, whose frames
 // the feed renders once per pacing step: /status, /tickets and /health from
-// its materialized view, /events from its retention ring (the window a
-// resuming /v1/stream watcher can replay). So those requests never wait for
-// the simulation, and any number of /v1/stream watchers observe the run
-// without perturbing it. Every exit path (signal, listener error, serve
-// error) funnels through one shutdown sequence: stop the pacing ticker,
-// drain HTTP with a deadline, then close the flight recording (trailer +
-// fingerprint; an empty recording is deleted rather than left truncated).
+// its materialized view, /events and /log from its retention ring (the
+// window a resuming /v1/stream watcher can replay), and /v1/stats from the
+// hub plus the virtual time and step count each step publishes. So no read
+// waits for the simulation, and any number of /v1/stream watchers observe
+// the run without perturbing it. Every exit path (signal, listener error,
+// serve error) funnels through one shutdown sequence: stop the pacing
+// ticker, drain HTTP with a deadline, then close the flight recording
+// (trailer + fingerprint; an empty recording is deleted rather than left
+// truncated).
 package main
 
 import (
@@ -49,6 +53,7 @@ import (
 	"os/signal"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -109,16 +114,19 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 }
 
 // daemon owns the paced simulation and everything serving it. The mutex
-// guards the cluster; the hub has its own lock, and the endpoints that
-// serve from it never touch mu.
+// guards stepping the cluster and closing the recording; the hub has its
+// own lock, and no endpoint touches mu.
 type daemon struct {
 	cfg  config
 	hub  *controlplane.Hub
 	feed *selfmaint.Feed
 
-	mu    sync.Mutex
-	c     *selfmaint.Cluster
-	steps int
+	mu sync.Mutex
+	c  *selfmaint.Cluster
+	// now (a sim.Time) and steps are published at the end of each step for
+	// /v1/stats and closeRecording.
+	now   atomic.Int64
+	steps atomic.Int64
 
 	rec     *selfmaint.Recording
 	recFile *os.File
@@ -180,8 +188,9 @@ func (d *daemon) step(dt sim.Time) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.c.Run(dt)
-	d.steps++
 	d.feed.Sync()
+	d.now.Store(int64(d.c.Now()))
+	d.steps.Add(1)
 }
 
 // startPacing launches the wall-clock ticker that drives the simulation.
@@ -232,7 +241,6 @@ func (d *daemon) closeRecording() error {
 		return nil
 	}
 	d.mu.Lock()
-	steps := d.steps
 	sum, err := d.rec.Close()
 	d.mu.Unlock()
 	if cerr := d.recFile.Close(); err == nil {
@@ -245,7 +253,7 @@ func (d *daemon) closeRecording() error {
 	// zero; "nothing was recorded" means no paced step ever ran. Such a
 	// file documents nothing — remove it rather than leave an artifact that
 	// looks like a run.
-	if steps == 0 {
+	if d.steps.Load() == 0 {
 		if rerr := os.Remove(d.cfg.record); rerr != nil {
 			return fmt.Errorf("removing empty recording: %w", rerr)
 		}
@@ -316,30 +324,23 @@ func (d *daemon) health(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// decisionLog serves the controller decisions the hub still retains,
+// oldest first.
 func (d *daemon) decisionLog(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	lines := d.c.DecisionLog(200)
-	d.mu.Unlock()
-	if lines == nil {
-		lines = []string{} // empty log must encode as [], not null
-	}
-	writeJSON(w, lines)
+	writeRawJSON(w, d.hub.Events(controlplane.Topic(selfmaint.TopicDecision)))
 }
 
 // busEvents serves the bus events the hub still retains, oldest first.
 func (d *daemon) busEvents(w http.ResponseWriter, r *http.Request) {
-	writeRawJSON(w, d.hub.Events())
+	writeRawJSON(w, d.hub.Events(""))
 }
 
 // stats reports the control-plane hub's counters and session registry.
 func (d *daemon) stats(w http.ResponseWriter, r *http.Request) {
-	d.mu.Lock()
-	now, steps := d.c.Now(), d.steps
-	d.mu.Unlock()
 	dropped, coalesced := d.hub.DropsByTopic()
 	writeJSON(w, map[string]any{
-		"virtual_time":       now.String(),
-		"steps":              steps,
+		"virtual_time":       sim.Time(d.now.Load()).String(),
+		"steps":              d.steps.Load(),
 		"hub":                d.hub.Stats(),
 		"dropped_by_topic":   dropped,
 		"coalesced_by_topic": coalesced,

@@ -54,7 +54,7 @@ func run(name string, opts ...selfmaint.Option) selfmaint.Report {
 		byTopic[ev.Topic]++
 		if ev.Topic == selfmaint.TopicDispatch && shown < 3 {
 			shown++
-			fmt.Printf("  %v\n", ev)
+			fmt.Printf("  [%v] %s\n", ev.At, selfmaint.EventText(ev))
 		}
 	})
 

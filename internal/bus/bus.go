@@ -23,11 +23,7 @@
 //     nothing further, including the event currently being delivered.
 package bus
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Topic names one event stream. Topics are created implicitly on first
 // subscribe or publish.
@@ -42,11 +38,6 @@ type Event struct {
 	At      sim.Time
 	Topic   Topic
 	Payload any
-}
-
-// String renders the envelope for logs.
-func (e Event) String() string {
-	return fmt.Sprintf("[%v] #%d %s: %v", e.At, e.Seq, e.Topic, e.Payload)
 }
 
 // Handler consumes events.

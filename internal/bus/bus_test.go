@@ -185,11 +185,3 @@ func TestStatsCounters(t *testing.T) {
 		t.Fatalf("Stats = %+v, want Published 2, Deliveries 4", st)
 	}
 }
-
-// TestEventString renders the envelope.
-func TestEventString(t *testing.T) {
-	ev := Event{Seq: 3, At: 61 * sim.Second, Topic: "sense.alert", Payload: "x"}
-	if got := ev.String(); got != "[00:01:01.000] #3 sense.alert: x" {
-		t.Fatalf("String() = %q", got)
-	}
-}

@@ -64,11 +64,6 @@ type Alert struct {
 	Detail string
 }
 
-// String renders the alert for logs.
-func (a Alert) String() string {
-	return fmt.Sprintf("%v %s %s", a.Kind, a.Link.Name(), a.Detail)
-}
-
 // RepairRequest is a Plan-stage event asking Triage to open background
 // maintenance work (a proactive campaign task or a predictive ticket) on a
 // currently healthy link.
@@ -77,15 +72,6 @@ type RepairRequest struct {
 	// Predictive marks a model-predicted failure; otherwise the request is
 	// part of a proactive campaign.
 	Predictive bool
-}
-
-// String renders the request for logs.
-func (r RepairRequest) String() string {
-	kind := "proactive"
-	if r.Predictive {
-		kind = "predictive"
-	}
-	return fmt.Sprintf("%s repair of %s", kind, r.Link.Name())
 }
 
 // TicketEventKind classifies a Triage-stage ticket lifecycle event.
@@ -128,11 +114,6 @@ type TicketEvent struct {
 	Reactive bool
 }
 
-// String renders the event for logs.
-func (e TicketEvent) String() string {
-	return fmt.Sprintf("T%d %s %s", e.ID, e.Link.Name(), e.Kind)
-}
-
 // Dispatch is an Act-stage event: physical work is being launched.
 type Dispatch struct {
 	Ticket int
@@ -141,15 +122,6 @@ type Dispatch struct {
 	Robot  bool
 	Action faults.Action
 	End    faults.End
-}
-
-// String renders the dispatch for logs.
-func (d Dispatch) String() string {
-	lane := "human"
-	if d.Robot {
-		lane = "robot"
-	}
-	return fmt.Sprintf("T%d %s %s %v@%v by %s", d.Ticket, d.Link.Name(), lane, d.Action, d.End, d.Actor)
 }
 
 // WorkOutcome is an Act-stage event: a physical attempt finished.
@@ -184,16 +156,6 @@ type WatchdogFired struct {
 	Backoff sim.Time
 }
 
-// String renders the watchdog event for logs.
-func (w WatchdogFired) String() string {
-	lane := "human"
-	if w.Robot {
-		lane = "robot"
-	}
-	return fmt.Sprintf("T%d %s %s %v by %s: watchdog after %v (attempt %d, backoff %v)",
-		w.Ticket, w.Link.Name(), lane, w.Action, w.Actor, w.Deadline, w.Attempt, w.Backoff)
-}
-
 // Degraded is an Act-stage event: repeated actuator failures exhausted the
 // robotic lane's retry budget and the ticket is escalated to humans — the
 // maintenance plane degrading gracefully around its own broken actuators.
@@ -203,22 +165,4 @@ type Degraded struct {
 	// RobotFailures counts the robot-lane watchdog failures that triggered
 	// the escalation.
 	RobotFailures int
-}
-
-// String renders the degradation event for logs.
-func (d Degraded) String() string {
-	return fmt.Sprintf("T%d %s degraded to human after %d robot watchdog failure(s)",
-		d.Ticket, d.Link.Name(), d.RobotFailures)
-}
-
-// String renders the outcome for logs.
-func (o WorkOutcome) String() string {
-	verdict := "failed"
-	switch {
-	case o.Fixed:
-		verdict = "fixed"
-	case o.Completed:
-		verdict = "performed, not fixed"
-	}
-	return fmt.Sprintf("T%d %s %v by %s: %s", o.Ticket, o.Link.Name(), o.Action, o.Actor, verdict)
 }

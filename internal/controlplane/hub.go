@@ -302,14 +302,15 @@ func (h *Hub) oldestLocked() uint64 {
 }
 
 // Events returns the retained unkeyed frames (the transient event stream)
-// as a JSON array of the delta objects the stream endpoint sends, oldest
-// first: exactly the window a resuming watcher can still replay. An empty
-// window is "[]", never null.
-func (h *Hub) Events() []byte {
+// on topic, or on every topic when topic is empty, as a JSON array of the
+// delta objects the stream endpoint sends, oldest first: exactly the
+// window a resuming watcher can still replay. An empty window is "[]",
+// never null.
+func (h *Hub) Events(topic Topic) []byte {
 	h.mu.Lock()
 	var frames []*Frame
 	for s := h.oldestLocked(); s <= h.seq; s++ {
-		if f := h.ring[(s-1)%uint64(len(h.ring))]; f.Key == "" {
+		if f := h.ring[(s-1)%uint64(len(h.ring))]; f.Key == "" && (topic == "" || f.Topic == topic) {
 			frames = append(frames, f)
 		}
 	}

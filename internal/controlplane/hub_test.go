@@ -247,10 +247,11 @@ func TestResumeFallsBackToSnapshotWhenOverrun(t *testing.T) {
 // Events serves the retained unkeyed frames oldest first, as the delta
 // objects the stream sends: nothing on an empty hub, the event frames of a
 // partly filled or exactly full ring, and after the ring wraps only the
-// event frames still retained. Keyed cp.* frames never appear.
+// event frames still retained. Keyed cp.* frames never appear, and a topic
+// selects only its own frames.
 func TestEventsViewRetainedUnkeyedFrames(t *testing.T) {
 	h := NewHub(Config{Retain: 4})
-	events := func() []uint64 {
+	events := func(topic Topic) []uint64 {
 		t.Helper()
 		var rows []struct {
 			Seq     uint64          `json:"seq"`
@@ -259,14 +260,14 @@ func TestEventsViewRetainedUnkeyedFrames(t *testing.T) {
 			Key     string          `json:"key"`
 			Payload json.RawMessage `json:"payload"`
 		}
-		raw := h.Events()
+		raw := h.Events(topic)
 		if err := json.Unmarshal(raw, &rows); err != nil || rows == nil {
-			t.Fatalf("Events() = %s: not a JSON array (%v)", raw, err)
+			t.Fatalf("Events(%q) = %s: not a JSON array (%v)", topic, raw, err)
 		}
 		seqs := []uint64{}
 		for _, r := range rows {
-			if r.Topic != "ev" || r.Key != "" || r.At != sim.Hour.String() {
-				t.Fatalf("row %+v: want an unkeyed ev frame at %v", r, sim.Hour)
+			if (topic != "" && r.Topic != topic) || r.Key != "" || r.At != sim.Hour.String() {
+				t.Fatalf("row %+v: want an unkeyed %q frame at %v", r, topic, sim.Hour)
 			}
 			if want := fmt.Sprintf(`{"i":%d}`, r.Seq); string(r.Payload) != want {
 				t.Fatalf("row %d payload = %s, want %s", r.Seq, r.Payload, want)
@@ -275,25 +276,35 @@ func TestEventsViewRetainedUnkeyedFrames(t *testing.T) {
 		}
 		return seqs
 	}
-	ev := func() { pub(h, "ev", "", fmt.Sprintf(`{"i":%d}`, h.Seq()+1)) }
+	evOn := func(topic Topic) { pub(h, topic, "", fmt.Sprintf(`{"i":%d}`, h.Seq()+1)) }
+	ev := func() { evOn("ev") }
 
-	if got := string(h.Events()); got != "[]" {
+	if got := string(h.Events("")); got != "[]" {
 		t.Fatalf("empty hub Events() = %s, want []", got)
 	}
 	ev()                                     // 1
 	pub(h, TopicStatus, "status", `{"v":1}`) // 2
 	ev()                                     // 3
-	if got := events(); fmt.Sprint(got) != "[1 3]" {
+	if got := events(""); fmt.Sprint(got) != "[1 3]" {
 		t.Fatalf("partly filled ring serves seqs %v, want [1 3]", got)
 	}
 	ev() // 4
-	if got := events(); fmt.Sprint(got) != "[1 3 4]" {
+	if got := events(""); fmt.Sprint(got) != "[1 3 4]" {
 		t.Fatalf("exactly full ring serves seqs %v, want [1 3 4]", got)
 	}
 	pub(h, TopicHealth, "linkA", `{"h":"down"}`) // 5
 	ev()                                         // 6
-	if got := events(); fmt.Sprint(got) != "[3 4 6]" {
+	if got := events(""); fmt.Sprint(got) != "[3 4 6]" {
 		t.Fatalf("wrapped ring serves seqs %v, want [3 4 6] (frames 3..6 retained)", got)
+	}
+	evOn("other") // 7
+	for _, tc := range []struct {
+		topic Topic
+		want  string
+	}{{"", "[4 6 7]"}, {"ev", "[4 6]"}, {"other", "[7]"}, {"none", "[]"}} {
+		if got := events(tc.topic); fmt.Sprint(got) != tc.want {
+			t.Fatalf("Events(%q) serves seqs %v, want %s (frames 4..7 retained)", tc.topic, got, tc.want)
+		}
 	}
 }
 
@@ -463,7 +474,7 @@ func TestConcurrentPublishSubscribe(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for {
-			if b := h.Events(); !json.Valid(b) {
+			if b := h.Events(""); !json.Valid(b) {
 				errs <- fmt.Errorf("Events() during publishing is not JSON: %.80s", b)
 				return
 			}

@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,48 +14,6 @@ import (
 	"repro/internal/sim"
 )
 
-// sseFrame is one parsed server-sent event.
-type sseFrame struct {
-	Event string
-	ID    string
-	Data  string
-}
-
-// sseReader incrementally parses an event stream.
-type sseReader struct{ sc *bufio.Scanner }
-
-func newSSEReader(r io.Reader) *sseReader {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	return &sseReader{sc: sc}
-}
-
-// next returns the next frame, blocking until one arrives or the stream
-// ends (io.EOF).
-func (r *sseReader) next() (sseFrame, error) {
-	var f sseFrame
-	seen := false
-	for r.sc.Scan() {
-		line := r.sc.Text()
-		switch {
-		case line == "":
-			if seen {
-				return f, nil
-			}
-		case strings.HasPrefix(line, "event: "):
-			f.Event, seen = strings.TrimPrefix(line, "event: "), true
-		case strings.HasPrefix(line, "id: "):
-			f.ID, seen = strings.TrimPrefix(line, "id: "), true
-		case strings.HasPrefix(line, "data: "):
-			f.Data, seen = strings.TrimPrefix(line, "data: "), true
-		}
-	}
-	if err := r.sc.Err(); err != nil {
-		return f, err
-	}
-	return f, io.EOF
-}
-
 type helloData struct {
 	Proto   int    `json:"proto"`
 	Session string `json:"session"`
@@ -65,9 +22,9 @@ type helloData struct {
 	Mode    string `json:"mode"`
 }
 
-func mustHello(t *testing.T, r *sseReader) helloData {
+func mustHello(t *testing.T, r *SSEReader) helloData {
 	t.Helper()
-	f, err := r.next()
+	f, err := r.Next()
 	if err != nil || f.Event != "hello" {
 		t.Fatalf("first frame = %+v err %v, want hello", f, err)
 	}
@@ -81,7 +38,7 @@ func mustHello(t *testing.T, r *sseReader) helloData {
 	return h
 }
 
-func openStream(t *testing.T, url string) (*http.Response, *sseReader) {
+func openStream(t *testing.T, url string) (*http.Response, *SSEReader) {
 	t.Helper()
 	resp, err := http.Get(url)
 	if err != nil {
@@ -95,7 +52,7 @@ func openStream(t *testing.T, url string) (*http.Response, *sseReader) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("content type = %q", ct)
 	}
-	return resp, newSSEReader(resp.Body)
+	return resp, NewSSEReader(resp.Body)
 }
 
 func TestStreamHandshakeSnapshotDelta(t *testing.T) {
@@ -115,7 +72,7 @@ func TestStreamHandshakeSnapshotDelta(t *testing.T) {
 		t.Fatalf("hello session/resume = %q/%q", hello.Session, hello.Resume)
 	}
 
-	f, err := r.next()
+	f, err := r.Next()
 	if err != nil || f.Event != "snapshot" || f.ID != "2" {
 		t.Fatalf("second frame = %+v err %v, want snapshot id 2", f, err)
 	}
@@ -133,7 +90,7 @@ func TestStreamHandshakeSnapshotDelta(t *testing.T) {
 	h.Publish("sense.alert", "", false, 2*sim.Hour, []byte(`{"kind":"link-down"}`))
 	h.Publish(TopicHealth, "leaf0/p0", true, 2*sim.Hour, nil) // tombstone
 
-	f, err = r.next()
+	f, err = r.Next()
 	if err != nil || f.Event != "delta" || f.ID != "3" {
 		t.Fatalf("delta 1 = %+v err %v", f, err)
 	}
@@ -152,7 +109,7 @@ func TestStreamHandshakeSnapshotDelta(t *testing.T) {
 		t.Fatalf("delta = %s", f.Data)
 	}
 
-	f, err = r.next()
+	f, err = r.Next()
 	if err != nil || f.ID != "4" {
 		t.Fatalf("delta 2 = %+v err %v", f, err)
 	}
@@ -200,11 +157,11 @@ func TestStreamResumeOverHTTP(t *testing.T) {
 
 	resp, r := openStream(t, srv.URL+"?client=resumer")
 	hello := mustHello(t, r)
-	if _, err := r.next(); err != nil { // snapshot frame
+	if _, err := r.Next(); err != nil { // snapshot frame
 		t.Fatal(err)
 	}
 	h.Publish("sense.alert", "", false, sim.Hour, []byte(`{"i":1}`))
-	f, err := r.next()
+	f, err := r.Next()
 	if err != nil || f.Event != "delta" {
 		t.Fatalf("delta = %+v err %v", f, err)
 	}
@@ -223,7 +180,7 @@ func TestStreamResumeOverHTTP(t *testing.T) {
 		t.Fatalf("resume hello = %+v, want resume of %s at %d", hello2, hello.Session, lastSeen)
 	}
 	for i, want := range []uint64{lastSeen + 1, lastSeen + 2} {
-		f, err := r2.next()
+		f, err := r2.Next()
 		if err != nil || f.Event != "delta" {
 			t.Fatalf("replayed delta %d = %+v err %v", i, f, err)
 		}
@@ -280,12 +237,12 @@ func TestStreamTopicFilterOverHTTP(t *testing.T) {
 	resp, r := openStream(t, srv.URL+"?client=f&topics=sense.alert")
 	defer resp.Body.Close()
 	mustHello(t, r)
-	if _, err := r.next(); err != nil { // snapshot
+	if _, err := r.Next(); err != nil { // snapshot
 		t.Fatal(err)
 	}
 	h.Publish("journal.decision", "", false, sim.Hour, []byte(`{"skip":1}`))
 	h.Publish("sense.alert", "", false, sim.Hour, []byte(`{"want":1}`))
-	f, err := r.next()
+	f, err := r.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +260,7 @@ func TestStreamDropsFrameInBand(t *testing.T) {
 	resp, r := openStream(t, srv.URL+"?client=d")
 	defer resp.Body.Close()
 	mustHello(t, r)
-	if _, err := r.next(); err != nil { // snapshot
+	if _, err := r.Next(); err != nil { // snapshot
 		t.Fatal(err)
 	}
 	// Overflow the 4-deep queue: frames big enough to overwhelm the TCP
@@ -315,7 +272,7 @@ func TestStreamDropsFrameInBand(t *testing.T) {
 	}
 	sawDrops := false
 	for i := 0; i < 200 && !sawDrops; i++ {
-		f, err := r.next()
+		f, err := r.Next()
 		if err != nil {
 			t.Fatalf("stream ended before drops frame: %v", err)
 		}

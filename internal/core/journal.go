@@ -66,21 +66,6 @@ type JournalEntry struct {
 	Detail string
 }
 
-// String renders a log line.
-func (e JournalEntry) String() string {
-	s := fmt.Sprintf("[%v] %s", e.At, e.Kind)
-	if e.Ticket >= 0 {
-		s += fmt.Sprintf(" T%d", e.Ticket)
-	}
-	if e.Link != "" {
-		s += " " + e.Link
-	}
-	if e.Detail != "" {
-		s += ": " + e.Detail
-	}
-	return s
-}
-
 // journal is a bounded ring of recent controller decisions: the audit trail
 // an operator tails to understand what the control plane is doing and why —
 // the observability face of the paper's "controllable and understood by the
@@ -124,8 +109,8 @@ func (j *journal) tail(n int) []JournalEntry {
 
 // log publishes a controller decision on the bus; the journal retains it
 // via its journal.decision subscription, and any tap (the control-plane
-// feed behind the daemon's /events, tests) sees it in order with the rest
-// of the pipeline's events.
+// feed behind the daemon's /events and /log, the flight recorder, tests)
+// sees it in order with the rest of the pipeline's events.
 func (c *Controller) log(kind EventKind, ticketID int, link, detail string) {
 	c.d.Bus.Publish(bus.TopicDecision, JournalEntry{
 		At: c.d.Eng.Now(), Kind: kind, Ticket: ticketID, Link: link, Detail: detail,

@@ -126,17 +126,3 @@ func TestJournalTailIsACopy(t *testing.T) {
 		t.Fatalf("ring mutated through tail() result: ticket %d", again[0].Ticket)
 	}
 }
-
-func TestJournalEntryString(t *testing.T) {
-	e := JournalEntry{At: 90 * sim.Second, Kind: EvDispatchRobot,
-		Ticket: 7, Link: "leaf0/p0<->spine0/p0", Detail: "reseat@A"}
-	want := "[00:01:30.000] dispatch-robot T7 leaf0/p0<->spine0/p0: reseat@A"
-	if e.String() != want {
-		t.Fatalf("String() = %q, want %q", e.String(), want)
-	}
-	// Non-ticket-scoped entries omit the T and link fields.
-	e2 := JournalEntry{At: 0, Kind: EvProactiveCampaign, Ticket: -1}
-	if got := e2.String(); got != "[00:00:00.000] proactive-campaign" {
-		t.Fatalf("String() = %q", got)
-	}
-}

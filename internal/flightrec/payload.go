@@ -7,6 +7,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/fleet"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
@@ -23,6 +24,7 @@ type Payload interface {
 	// PayloadKind is the stable wire name of this payload type.
 	PayloadKind() string
 	encodeFields(e *enc)
+	// String is the event's one text form (see Convert).
 	String() string
 }
 
@@ -50,36 +52,46 @@ func decodePayload(name string, fs fieldSet) Payload {
 	return &PUnknown{Name: name, Fields: fs}
 }
 
-// convertPayload maps live bus payloads to recordable ones. Fleet-level
-// payload types are translated by a converter the caller installs with
-// WithConverter: flightrec sits below internal/fleet in the import order,
-// so it cannot name those types itself (it still owns their wire form).
-func convertPayload(p any) (Payload, bool) {
+// Convert maps a live bus payload to its typed mirror. The mirror's String
+// is the one text form of the event: the control-plane feed, selfmaintd's
+// /events and /log, the decision log, replay and diff all print it, and
+// recordings store its fields. A type with no mirror becomes a PGeneric
+// carrying its Go type name and fmt rendering. Convert is pure, so taps
+// may call it from shard goroutines.
+func Convert(p any) Payload {
 	switch v := p.(type) {
 	case bus.Alert:
-		return &PAlert{Kind: uint8(v.Kind), Link: linkName(v.Link), At: v.At, Detail: v.Detail}, true
+		return &PAlert{Kind: uint8(v.Kind), Link: linkName(v.Link), At: v.At, Detail: v.Detail}
 	case bus.RepairRequest:
-		return &PRequest{Link: linkName(v.Link), Predictive: v.Predictive}, true
+		return &PRequest{Link: linkName(v.Link), Predictive: v.Predictive}
 	case bus.TicketEvent:
 		return &PTicket{Kind: uint8(v.Kind), ID: v.ID, Link: linkName(v.Link),
-			Action: uint8(v.Action), Reactive: v.Reactive}, true
+			Action: uint8(v.Action), Reactive: v.Reactive}
 	case bus.Dispatch:
 		return &PDispatch{Ticket: v.Ticket, Link: linkName(v.Link), Actor: v.Actor,
-			Robot: v.Robot, Action: uint8(v.Action), End: uint8(v.End)}, true
+			Robot: v.Robot, Action: uint8(v.Action), End: uint8(v.End)}
 	case bus.WorkOutcome:
 		return &POutcome{Ticket: v.Ticket, Link: linkName(v.Link), Actor: v.Actor,
 			Robot: v.Robot, Action: uint8(v.Action),
-			Completed: v.Completed, Fixed: v.Fixed, Note: v.Note}, true
+			Completed: v.Completed, Fixed: v.Fixed, Note: v.Note}
 	case bus.WatchdogFired:
 		return &PWatchdog{Ticket: v.Ticket, Link: linkName(v.Link), Actor: v.Actor,
 			Robot: v.Robot, Action: uint8(v.Action),
-			Deadline: v.Deadline, Attempt: v.Attempt, Backoff: v.Backoff}, true
+			Deadline: v.Deadline, Attempt: v.Attempt, Backoff: v.Backoff}
 	case bus.Degraded:
-		return &PDegraded{Ticket: v.Ticket, Link: linkName(v.Link), RobotFailures: v.RobotFailures}, true
+		return &PDegraded{Ticket: v.Ticket, Link: linkName(v.Link), RobotFailures: v.RobotFailures}
 	case core.JournalEntry:
-		return &PJournal{At: v.At, Kind: uint8(v.Kind), Ticket: v.Ticket, Link: v.Link, Detail: v.Detail}, true
+		return &PJournal{At: v.At, Kind: uint8(v.Kind), Ticket: v.Ticket, Link: v.Link, Detail: v.Detail}
+	case fleet.Summary:
+		return &PFleetSummary{Region: v.Region, At: v.At, Links: v.Links, LinksDown: v.LinksDown,
+			OpenTickets: v.OpenTickets, Resolved: v.Resolved,
+			RobotsIdle: v.RobotsIdle, RobotsTotal: v.RobotsTotal}
+	case fleet.Ticket:
+		return &PFleetTicket{Region: v.Region, OpenedAt: v.OpenedAt, ClosedAt: v.ClosedAt}
+	case fleet.TransferNote:
+		return &PTransfer{From: v.From, To: v.To, Granted: v.Granted, Unit: v.Unit}
 	}
-	return nil, false
+	return &PGeneric{TypeName: fmt.Sprintf("%T", p), Text: fmt.Sprint(p)}
 }
 
 func linkName(l *topology.Link) string {
@@ -361,8 +373,7 @@ func (p *PJournal) String() string {
 	return s + "}"
 }
 
-// PFleetSummary is the wire form of fleet.Summary (converted by the
-// scenario layer's fleet converter).
+// PFleetSummary mirrors fleet.Summary.
 type PFleetSummary struct {
 	Region      int
 	At          sim.Time
@@ -399,7 +410,7 @@ func (p *PFleetSummary) String() string {
 		p.Region, p.Links, p.LinksDown, p.OpenTickets, p.Resolved, p.RobotsIdle, p.RobotsTotal)
 }
 
-// PFleetTicket is the wire form of fleet.Ticket.
+// PFleetTicket mirrors fleet.Ticket.
 type PFleetTicket struct {
 	Region   int
 	OpenedAt sim.Time
@@ -426,7 +437,7 @@ func (p *PFleetTicket) String() string {
 	return fmt.Sprintf("fleet-ticket{region=%d opened@%d %s}", p.Region, int64(p.OpenedAt), state)
 }
 
-// PTransfer is the wire form of fleet.TransferNote.
+// PTransfer mirrors fleet.TransferNote.
 type PTransfer struct {
 	From    int
 	To      int
@@ -455,9 +466,10 @@ func (p *PTransfer) String() string {
 	return fmt.Sprintf("transfer{%d->%d %s}", p.From, p.To, verdict)
 }
 
-// PGeneric records a payload type nothing converted: its Go type name and
-// rendered text. Deterministic as long as the payload's String/%v render
-// is (pointer-free value structs, or types with a Stringer).
+// PGeneric records a payload type Convert has no mirror for: its Go type
+// name and fmt rendering. That rendering is deterministic only for
+// pointer-free values; a pipeline payload must get a mirror instead
+// (TestBusPayloadsHaveTypedText guards the live buses).
 type PGeneric struct {
 	TypeName string
 	Text     string

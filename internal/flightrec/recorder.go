@@ -34,28 +34,15 @@ type Recorder struct {
 	prevSeq     []uint64
 	prevEpochAt sim.Time
 
-	convert []func(any) (Payload, bool)
-	sum     *Summary
-	frames  uint64
-	err     error
-}
-
-// Option configures a Recorder.
-type Option func(*Recorder)
-
-// WithConverter adds a payload converter consulted after the built-in bus
-// conversions — the hook layers above flightrec use to record their own
-// payload types (fleet summaries, transfer notes) without flightrec
-// importing them. Converters must be pure: taps may call them from shard
-// goroutines.
-func WithConverter(fn func(any) (Payload, bool)) Option {
-	return func(r *Recorder) { r.convert = append(r.convert, fn) }
+	sum    *Summary
+	frames uint64
+	err    error
 }
 
 // New starts a recording: it writes the header (magic, version, metadata
 // sorted by key) immediately. shards is the shard count frames will be
 // tagged with, at most maxShards; plain worlds pass 1.
-func New(w io.Writer, meta map[string]string, shards int, opts ...Option) (*Recorder, error) {
+func New(w io.Writer, meta map[string]string, shards int) (*Recorder, error) {
 	if shards < 1 || shards > maxShards {
 		return nil, fmt.Errorf("flightrec: %d shards (want 1 to %d)", shards, maxShards)
 	}
@@ -67,9 +54,6 @@ func New(w io.Writer, meta map[string]string, shards int, opts ...Option) (*Reco
 		prevAt:  make([]sim.Time, shards),
 		prevSeq: make([]uint64, shards),
 		sum:     newSummary(meta),
-	}
-	for _, opt := range opts {
-		opt(r)
 	}
 	r.e.b = append(r.e.b, magic[:]...)
 	r.e.b = append(r.e.b, version)
@@ -100,7 +84,7 @@ func (r *Recorder) TapBus(b *bus.Bus, shard int) *bus.Subscription {
 // safe from that shard's goroutine while other shards run concurrently.
 func (r *Recorder) Tap(shard int, ev bus.Event) {
 	r.add(Frame{Kind: KindEvent, Shard: shard, At: ev.At, Seq: ev.Seq,
-		Topic: string(ev.Topic), Payload: r.convertAny(ev.Payload)})
+		Topic: string(ev.Topic), Payload: Convert(ev.Payload)})
 }
 
 // Snapshot records one periodic metric sample for the given shard.
@@ -112,18 +96,6 @@ func (r *Recorder) Snapshot(shard int, at sim.Time, s Snap) {
 // report is rebuilt from on replay.
 func (r *Recorder) State(shard int, kvs []KV) {
 	r.add(Frame{Kind: KindState, Shard: shard, State: kvs})
-}
-
-func (r *Recorder) convertAny(p any) Payload {
-	if pl, ok := convertPayload(p); ok {
-		return pl
-	}
-	for _, fn := range r.convert {
-		if pl, ok := fn(p); ok {
-			return pl
-		}
-	}
-	return &PGeneric{TypeName: fmt.Sprintf("%T", p), Text: fmt.Sprint(p)}
 }
 
 func (r *Recorder) add(f Frame) {

@@ -3,6 +3,7 @@ package robot
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/inventory"
 	"repro/internal/sim"
@@ -12,7 +13,7 @@ import (
 // primitive sequence plays out over virtual time, and done receives the
 // outcome. It panics if the unit is unavailable or cannot reach the work —
 // the scheduler must check first.
-func (f *Fleet) Execute(u *Unit, t Task, done func(Outcome)) {
+func (f *Fleet) Execute(u *Unit, t exec.Task, done func(Outcome)) {
 	loc := t.Port().Device.Loc
 	if !u.Available() {
 		panic(fmt.Sprintf("robot: %s not available", u))
@@ -39,7 +40,7 @@ func (f *Fleet) Execute(u *Unit, t Task, done func(Outcome)) {
 type taskRun struct {
 	f   *Fleet
 	u   *Unit
-	t   Task
+	t   exec.Task
 	out Outcome
 
 	inRepair bool

@@ -32,7 +32,7 @@ func (e *Executor) Claim(loc topology.Location) exec.Actor {
 // Execute implements exec.Executor.
 func (e *Executor) Execute(a exec.Actor, t exec.Task, done func(exec.Outcome)) {
 	u := a.(unitActor).u
-	e.fleet.Execute(u, Task{Link: t.Link, End: t.End, Action: t.Action}, func(out Outcome) {
+	e.fleet.Execute(u, t, func(out Outcome) {
 		done(exec.Outcome{
 			Actor:      out.Unit.Name,
 			Task:       t,
@@ -53,7 +53,7 @@ func (e *Executor) Execute(a exec.Actor, t exec.Task, done func(exec.Outcome)) {
 // the unit the dispatcher claimed.
 func (e *Executor) EstimateDuration(a exec.Actor, t exec.Task) sim.Time {
 	u := a.(unitActor).u
-	return e.fleet.EstimateDuration(u, Task{Link: t.Link, End: t.End, Action: t.Action})
+	return e.fleet.EstimateDuration(u, t)
 }
 
 // unitActor lifts a Unit (whose Name is a field) to the exec.Actor

@@ -20,6 +20,7 @@ package robot
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/inventory"
 	"repro/internal/sim"
@@ -149,20 +150,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Task is one physical repair assignment.
-type Task struct {
-	Link   *topology.Link
-	End    faults.End
-	Action faults.Action
-}
-
-// Port returns the port the task works at.
-func (t Task) Port() *topology.Port { return t.End.Port(t.Link) }
-
 // Outcome reports what happened.
 type Outcome struct {
 	Unit      *Unit
-	Task      Task
+	Task      exec.Task
 	Started   sim.Time
 	Finished  sim.Time
 	Completed bool // the action was physically performed
@@ -294,7 +285,7 @@ func (f *Fleet) TravelTime(u *Unit, loc topology.Location) sim.Time {
 
 // EstimateDuration predicts a task's duration for scheduling, using
 // distribution means.
-func (f *Fleet) EstimateDuration(u *Unit, t Task) sim.Time {
+func (f *Fleet) EstimateDuration(u *Unit, t exec.Task) sim.Time {
 	d := f.TravelTime(u, t.Port().Device.Loc)
 	d += sim.MeanDuration(f.cfg.NavSetup) + sim.MeanDuration(f.cfg.PartCables) +
 		sim.MeanDuration(f.cfg.Identify) + sim.MeanDuration(f.cfg.Unplug) +

@@ -3,6 +3,7 @@ package robot
 import (
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/inventory"
 	"repro/internal/sim"
@@ -57,7 +58,7 @@ func (w *world) hallUnit() *Unit {
 }
 
 // runTask executes a task and returns the outcome once the engine settles.
-func (w *world) runTask(t *testing.T, u *Unit, task Task) Outcome {
+func (w *world) runTask(t *testing.T, u *Unit, task exec.Task) Outcome {
 	t.Helper()
 	var out *Outcome
 	w.fleet.Execute(u, task, func(o Outcome) { out = &o })
@@ -77,7 +78,7 @@ func TestReseatFixesOxidation(t *testing.T) {
 	w.inj.InduceFault(l, faults.Oxidation)
 	st := w.inj.State(l.ID)
 	u := w.hallUnit()
-	out := w.runTask(t, u, Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
+	out := w.runTask(t, u, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
 	if !out.Completed || !out.Result.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -105,7 +106,7 @@ func TestCleanCycleFixesContamination(t *testing.T) {
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.Contamination)
 	st := w.inj.State(l.ID)
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
 	if !out.Completed || !out.Result.Fixed || out.NeedsHuman {
 		t.Fatalf("outcome: %+v note=%s", out, out.Note)
 	}
@@ -126,7 +127,7 @@ func TestReplaceXcvrConsumesSpare(t *testing.T) {
 	w.inj.InduceFault(l, faults.XcvrDead)
 	st := w.inj.State(l.ID)
 	before := w.pool.Stock(inventory.PartXcvr)
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
 	if !out.Completed || !out.Result.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -146,7 +147,7 @@ func TestStockoutReportsWithoutTouchingLink(t *testing.T) {
 	for w.pool.Stock(inventory.PartXcvr) > 0 {
 		w.pool.Take(inventory.PartXcvr)
 	}
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
 	if out.Completed || !out.Stockout {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -159,7 +160,7 @@ func TestHumanOnlyActionsEscalate(t *testing.T) {
 	w := newWorld(t, 5, nil)
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.CableDamaged)
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: faults.EndA, Action: faults.ReplaceCable})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: faults.EndA, Action: faults.ReplaceCable})
 	if !out.NeedsHuman || out.Completed {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -187,14 +188,14 @@ func TestScopeEnforcement(t *testing.T) {
 			t.Fatal("Execute out of scope did not panic")
 		}
 	}()
-	w.fleet.Execute(rackUnit, Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
+	w.fleet.Execute(rackUnit, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
 }
 
 func TestBusyUnitRejectsSecondTask(t *testing.T) {
 	w := newWorld(t, 7, nil)
 	l := w.sepLink(t)
 	u := w.hallUnit()
-	w.fleet.Execute(u, Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
+	w.fleet.Execute(u, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
 	if u.Available() {
 		t.Fatal("unit still available while executing")
 	}
@@ -203,7 +204,7 @@ func TestBusyUnitRejectsSecondTask(t *testing.T) {
 			t.Fatal("double execute did not panic")
 		}
 	}()
-	w.fleet.Execute(u, Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
+	w.fleet.Execute(u, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
 }
 
 func TestMechanicalFailureEscalatesAndCanBreakUnit(t *testing.T) {
@@ -215,7 +216,7 @@ func TestMechanicalFailureEscalatesAndCanBreakUnit(t *testing.T) {
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.Oxidation)
 	u := w.hallUnit()
-	out := w.runTask(t, u, Task{Link: l, End: faults.EndA, Action: faults.Reseat})
+	out := w.runTask(t, u, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat})
 	if out.Completed || !out.NeedsHuman {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -246,7 +247,7 @@ func TestPerceptionFailureEscalates(t *testing.T) {
 	}, 1)
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.Oxidation)
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: faults.EndA, Action: faults.Reseat})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat})
 	if !out.NeedsHuman || out.Completed {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -264,7 +265,7 @@ func TestBatteryChargeCycle(t *testing.T) {
 	l := w.sepLink(t)
 	u := w.hallUnit()
 	for i := 0; i < 2; i++ {
-		out := w.runTask(t, u, Task{Link: l, End: faults.EndA, Action: faults.Reseat})
+		out := w.runTask(t, u, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat})
 		if !out.Completed {
 			t.Fatalf("task %d failed: %+v", i, out)
 		}
@@ -292,7 +293,7 @@ func TestCleanVerifyRetryThenHuman(t *testing.T) {
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.Contamination)
 	st := w.inj.State(l.ID)
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
 	if !out.NeedsHuman {
 		t.Fatalf("robot did not request human support: %+v", out)
 	}
@@ -332,8 +333,8 @@ func TestEstimateDurationOrdering(t *testing.T) {
 	w := newWorld(t, 13, nil)
 	l := w.sepLink(t)
 	u := w.hallUnit()
-	reseat := w.fleet.EstimateDuration(u, Task{Link: l, End: faults.EndA, Action: faults.Reseat})
-	clean := w.fleet.EstimateDuration(u, Task{Link: l, End: faults.EndA, Action: faults.Clean})
+	reseat := w.fleet.EstimateDuration(u, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat})
+	clean := w.fleet.EstimateDuration(u, exec.Task{Link: l, End: faults.EndA, Action: faults.Clean})
 	if reseat <= 0 || clean <= reseat {
 		t.Fatalf("estimates: reseat=%v clean=%v", reseat, clean)
 	}
@@ -363,7 +364,7 @@ func TestCleaningSuppliesStockout(t *testing.T) {
 	for w.pool.Stock(inventory.PartCleaningSupplies) > 0 {
 		w.pool.Take(inventory.PartCleaningSupplies)
 	}
-	out := w.runTask(t, w.hallUnit(), Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
+	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
 	if out.Completed || !out.Stockout {
 		t.Fatalf("outcome: %+v", out)
 	}

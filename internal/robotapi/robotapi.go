@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/robot"
 	"repro/internal/sim"
@@ -223,19 +224,19 @@ func (s *Service) Inject(linkID int, cause string) error {
 }
 
 // parse validates a TaskSpec against the world.
-func (s *Service) parse(spec TaskSpec) (robot.Task, error) {
+func (s *Service) parse(spec TaskSpec) (exec.Task, error) {
 	if spec.Link < 0 || spec.Link >= len(s.net.Links) {
-		return robot.Task{}, fmt.Errorf("robotapi: link %d out of range", spec.Link)
+		return exec.Task{}, fmt.Errorf("robotapi: link %d out of range", spec.Link)
 	}
 	end, err := ParseEnd(spec.End)
 	if err != nil {
-		return robot.Task{}, err
+		return exec.Task{}, err
 	}
 	action, err := ParseAction(spec.Action)
 	if err != nil {
-		return robot.Task{}, err
+		return exec.Task{}, err
 	}
-	return robot.Task{Link: s.net.Links[spec.Link], End: end, Action: action}, nil
+	return exec.Task{Link: s.net.Links[spec.Link], End: end, Action: action}, nil
 }
 
 // ParseEnd parses "A"/"B" (case-insensitive single letter).

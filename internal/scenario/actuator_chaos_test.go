@@ -9,6 +9,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/flightrec"
 	"repro/internal/sim"
 	"repro/internal/ticket"
 )
@@ -33,10 +34,10 @@ func TestActuatorChaosFixedSeedReproduces(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stream strings.Builder
-		w.Bus.Tap(func(ev bus.Event) { fmt.Fprintln(&stream, ev.String()) })
+		w.Bus.Tap(func(ev bus.Event) { fmt.Fprintf(&stream, "[%v] %v\n", ev.At, flightrec.Convert(ev.Payload)) })
 		w.Run(30 * sim.Day)
 		for _, e := range w.Ctrl.Journal(0) {
-			fmt.Fprintln(&stream, e.String())
+			fmt.Fprintf(&stream, "[%v] %v\n", e.At, flightrec.Convert(e))
 		}
 		return sha256.Sum256([]byte(stream.String())),
 			w.ChaosStats().Injected(), w.Ctrl.Stats().WatchdogFires

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/bus"
 	"repro/internal/core"
+	"repro/internal/flightrec"
 	"repro/internal/sim"
 )
 
@@ -30,11 +31,11 @@ func TestFixedSeedReproduces(t *testing.T) {
 			t.Fatal(err)
 		}
 		var stream strings.Builder
-		w.Bus.Tap(func(ev bus.Event) { fmt.Fprintln(&stream, ev.String()) })
+		w.Bus.Tap(func(ev bus.Event) { fmt.Fprintf(&stream, "[%v] %v\n", ev.At, flightrec.Convert(ev.Payload)) })
 		w.Run(30 * sim.Day)
 		var jr strings.Builder
 		for _, e := range w.Ctrl.Journal(0) {
-			fmt.Fprintln(&jr, e.String())
+			fmt.Fprintf(&jr, "[%v] %v\n", e.At, flightrec.Convert(e))
 		}
 		led := fmt.Sprintf("%.12f %.12f %.12f",
 			w.Ledger.FleetAvailability(), w.Ledger.DownLinkHours(), w.Ledger.DegradedLinkHours())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/maintindex"
 	"repro/internal/metrics"
@@ -290,7 +291,7 @@ func t6RobotTimings(reps int, seed uint64) (*metrics.Table, error) {
 			w.Inj.InduceFault(link, cause)
 			st := w.Inj.State(link.ID)
 			var out *robot.Outcome
-			w.Fleet.Execute(unit, robot.Task{Link: link, End: st.CauseEnd, Action: action},
+			w.Fleet.Execute(unit, exec.Task{Link: link, End: st.CauseEnd, Action: action},
 				func(o robot.Outcome) { out = &o })
 			w.Eng.RunUntil(w.Eng.Now() + 2*sim.Hour)
 			if out == nil {
@@ -559,7 +560,7 @@ func T8Diversity(r *Runner, tasks int, seed uint64) (*metrics.Table, error) {
 					w.Inj.InduceFault(link, faults.Oxidation)
 					st := w.Inj.State(link.ID)
 					var out *robot.Outcome
-					w.Fleet.Execute(unit, robot.Task{Link: link, End: st.CauseEnd, Action: faults.Reseat},
+					w.Fleet.Execute(unit, exec.Task{Link: link, End: st.CauseEnd, Action: faults.Reseat},
 						func(o robot.Outcome) { out = &o })
 					w.Eng.RunUntil(w.Eng.Now() + 2*sim.Hour)
 					if out == nil {

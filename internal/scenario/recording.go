@@ -127,7 +127,7 @@ type fleetRecording struct {
 // startFleetRecording attaches a recorder to a fleet built by BuildFleet.
 // Must be called before Run.
 func startFleetRecording(f *fleet.Fleet, regions []*fleetRegion, out io.Writer, meta map[string]string) (*fleetRecording, error) {
-	rec, err := flightrec.New(out, meta, f.ME.Shards(), flightrec.WithConverter(convertFleetPayload))
+	rec, err := flightrec.New(out, meta, f.ME.Shards())
 	if err != nil {
 		return nil, err
 	}
@@ -138,25 +138,6 @@ func startFleetRecording(f *fleet.Fleet, regions []*fleetRegion, out io.Writer, 
 	}
 	f.ME.SetBarrierHook(rec.Barrier)
 	return fr, nil
-}
-
-// convertFleetPayload translates the fleet package's bus payloads into
-// flightrec's typed forms (flightrec cannot import fleet — the dependency
-// arrow points the other way).
-func convertFleetPayload(p any) (flightrec.Payload, bool) {
-	switch v := p.(type) {
-	case fleet.Summary:
-		return &flightrec.PFleetSummary{
-			Region: v.Region, At: v.At, Links: v.Links, LinksDown: v.LinksDown,
-			OpenTickets: v.OpenTickets, Resolved: v.Resolved,
-			RobotsIdle: v.RobotsIdle, RobotsTotal: v.RobotsTotal,
-		}, true
-	case fleet.Ticket:
-		return &flightrec.PFleetTicket{Region: v.Region, OpenedAt: v.OpenedAt, ClosedAt: v.ClosedAt}, true
-	case fleet.TransferNote:
-		return &flightrec.PTransfer{From: v.From, To: v.To, Granted: v.Granted, Unit: v.Unit}, true
-	}
-	return nil, false
 }
 
 // Close detaches the taps, records the final report as per-shard state

@@ -216,11 +216,6 @@ func TestHistoryPruning(t *testing.T) {
 }
 
 func TestAlertStrings(t *testing.T) {
-	_, n, _, _ := setup(t, 7)
-	a := bus.Alert{Kind: bus.AlertLinkDown, Link: n.Links[0], At: sim.Hour}
-	if a.String() == "" {
-		t.Error("empty alert string")
-	}
 	if bus.AlertLinkFlapping.String() != "link-flapping" || bus.AlertKind(9).String() == "" {
 		t.Error("alert kind names")
 	}

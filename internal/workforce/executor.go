@@ -36,7 +36,7 @@ func (e *Executor) Claim(topology.Location) exec.Actor {
 // Execute implements exec.Executor.
 func (e *Executor) Execute(a exec.Actor, t exec.Task, done func(exec.Outcome)) {
 	tech := a.(techActor).t
-	e.crew.Execute(tech, Task{Link: t.Link, End: t.End, Action: t.Action}, func(out Outcome) {
+	e.crew.Execute(tech, t, func(out Outcome) {
 		done(exec.Outcome{
 			Actor:     out.Tech.Name,
 			Task:      t,

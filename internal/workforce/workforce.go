@@ -8,26 +8,17 @@ package workforce
 import (
 	"fmt"
 
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/inventory"
 	"repro/internal/sim"
 	"repro/internal/topology"
 )
 
-// Task is one physical repair assignment for a technician.
-type Task struct {
-	Link   *topology.Link
-	End    faults.End
-	Action faults.Action
-}
-
-// Port returns the port the task works at.
-func (t Task) Port() *topology.Port { return t.End.Port(t.Link) }
-
 // Outcome reports what a technician accomplished.
 type Outcome struct {
 	Tech      *Technician
-	Task      Task
+	Task      exec.Task
 	Started   sim.Time
 	Finished  sim.Time
 	Completed bool
@@ -212,7 +203,7 @@ func actionDist(cfg Config, a faults.Action) sim.Dist {
 
 // Execute dispatches a technician on a task asynchronously; done receives
 // the outcome. It panics if the technician is busy.
-func (c *Crew) Execute(tech *Technician, task Task, done func(Outcome)) {
+func (c *Crew) Execute(tech *Technician, task exec.Task, done func(Outcome)) {
 	if !tech.Available() {
 		panic(fmt.Sprintf("workforce: %s busy", tech))
 	}
@@ -245,7 +236,7 @@ func (c *Crew) Execute(tech *Technician, task Task, done func(Outcome)) {
 func (c *Crew) TechniciansInRow(row int) int { return c.activeRows[row] }
 
 // handsOn performs the physical action.
-func (c *Crew) handsOn(tech *Technician, task Task, out Outcome, done func(Outcome)) {
+func (c *Crew) handsOn(tech *Technician, task exec.Task, out Outcome, done func(Outcome)) {
 	rng := c.rng()
 	end := task.End
 	if rng.Bernoulli(c.cfg.WrongEndProb) {

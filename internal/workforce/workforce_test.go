@@ -3,6 +3,7 @@ package workforce
 import (
 	"testing"
 
+	"repro/internal/exec"
 	"repro/internal/faults"
 	"repro/internal/inventory"
 	"repro/internal/sim"
@@ -50,7 +51,7 @@ func (w *world) sepLink(t *testing.T) *topology.Link {
 	return nil
 }
 
-func (w *world) run(t *testing.T, task Task) Outcome {
+func (w *world) run(t *testing.T, task exec.Task) Outcome {
 	t.Helper()
 	tech := w.crew.FindTech()
 	if tech == nil {
@@ -75,7 +76,7 @@ func TestHumanRepairTakesHours(t *testing.T) {
 	st := w.inj.State(l.ID)
 	// Start mid-shift (hour 10).
 	w.eng.RunUntil(10 * sim.Hour)
-	out := w.run(t, Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
+	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
 	if !out.Completed || !out.Result.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -100,7 +101,7 @@ func TestOffShiftDispatchSlower(t *testing.T) {
 		w.eng.RunUntil(start)
 		w.inj.InduceFault(l, faults.Oxidation)
 		st := w.inj.State(l.ID)
-		out := w.run(t, Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
+		out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
 		if start == 12*sim.Hour {
 			onShift = out.Duration()
 		} else {
@@ -136,7 +137,7 @@ func TestWrongEndError(t *testing.T) {
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.Contamination)
 	st := w.inj.State(l.ID)
-	out := w.run(t, Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
+	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
 	if !out.WrongEnd {
 		t.Fatal("wrong-end error not recorded")
 	}
@@ -159,7 +160,7 @@ func TestHumanCanReplaceCableAndDisturbsTray(t *testing.T) {
 		t.Skip("no tray mates in this build")
 	}
 	w.inj.InduceFault(l, faults.CableDamaged)
-	out := w.run(t, Task{Link: l, End: faults.EndA, Action: faults.ReplaceCable})
+	out := w.run(t, exec.Task{Link: l, End: faults.EndA, Action: faults.ReplaceCable})
 	if !out.Completed || !out.Result.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -182,7 +183,7 @@ func TestHumanTouchCausesCascades(t *testing.T) {
 	l := w.sepLink(t)
 	w.inj.InduceFault(l, faults.Oxidation)
 	st := w.inj.State(l.ID)
-	out := w.run(t, Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
+	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
 	if len(out.Effects) == 0 {
 		t.Fatal("rough human touch caused no cascades with p=1")
 	}
@@ -196,7 +197,7 @@ func TestStockout(t *testing.T) {
 	for w.pool.Stock(inventory.PartXcvr) > 0 {
 		w.pool.Take(inventory.PartXcvr)
 	}
-	out := w.run(t, Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
+	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
 	if out.Completed || !out.Stockout {
 		t.Fatalf("outcome: %+v", out)
 	}
@@ -209,7 +210,7 @@ func TestBusyTechPanics(t *testing.T) {
 	w := newWorld(t, 8, 1, nil)
 	l := w.sepLink(t)
 	tech := w.crew.FindTech()
-	w.crew.Execute(tech, Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
+	w.crew.Execute(tech, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
 	if w.crew.FindTech() != nil {
 		t.Fatal("busy tech still findable")
 	}
@@ -218,7 +219,7 @@ func TestBusyTechPanics(t *testing.T) {
 			t.Fatal("no panic on double execute")
 		}
 	}()
-	w.crew.Execute(tech, Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
+	w.crew.Execute(tech, exec.Task{Link: l, End: faults.EndA, Action: faults.Reseat}, nil)
 }
 
 func TestEstimateAndStrings(t *testing.T) {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/bus"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/flightrec"
 	"repro/internal/scenario"
 	"repro/internal/ticket"
 	"repro/internal/topology"
@@ -44,6 +45,13 @@ func (c *Cluster) TapEvents(fn func(Event)) *Subscription {
 // OnEvent registers fn for one topic.
 func (c *Cluster) OnEvent(t Topic, fn func(Event)) *Subscription {
 	return c.w.Bus.Subscribe(t, fn)
+}
+
+// EventText renders an event's payload in the one text form every observer
+// shares: the control-plane stream, selfmaintd's /events and /log, and
+// flight-recording replay and diff all print the same line.
+func EventText(ev Event) string {
+	return flightrec.Convert(ev.Payload).String()
 }
 
 // Policy plans repairs: given a ticket and its escalation stage it picks

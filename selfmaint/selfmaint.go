@@ -27,6 +27,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/flightrec"
 	"repro/internal/maintindex"
 	"repro/internal/metrics"
 	"repro/internal/routing"
@@ -285,15 +286,16 @@ func (r Report) String() string {
 }
 
 // DecisionLog returns up to n recent controller decisions (dispatches,
-// drains, escalations, campaigns), formatted one per line, oldest first.
-// n <= 0 returns everything retained.
+// drains, escalations, campaigns), oldest first, one "[at] text" line
+// each, where text is the decision's journal.decision event text (see
+// EventText). n <= 0 returns everything retained.
 func (c *Cluster) DecisionLog(n int) []string {
 	if c.w.Ctrl == nil {
 		return nil
 	}
 	var out []string
 	for _, e := range c.w.Ctrl.Journal(n) {
-		out = append(out, e.String())
+		out = append(out, fmt.Sprintf("[%v] %v", e.At, flightrec.Convert(e)))
 	}
 	return out
 }

@@ -16,7 +16,6 @@ package selfmaint
 // feed reads nothing back from the hub.
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/bus"
@@ -178,10 +177,10 @@ func renderHealth(h faults.Health) []byte {
 
 // renderEvent is the transient bus-frame payload. The frame envelope
 // already carries the virtual time and topic; the payload adds the bus
-// sequence number and the event's formatted body. The daemon's /events
-// serves these frames as they are.
+// sequence number and the event's text (EventText). The daemon's /events
+// and /log serve these frames as they are.
 func renderEvent(ev bus.Event) []byte {
-	text := fmt.Sprint(ev.Payload)
+	text := EventText(ev)
 	b := make([]byte, 0, 32+len(text))
 	b = append(b, `{"bus_seq":`...)
 	b = strconv.AppendUint(b, ev.Seq, 10)

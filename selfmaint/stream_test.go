@@ -136,7 +136,8 @@ func TestFeedHealthTombstones(t *testing.T) {
 }
 
 // Every bus event becomes exactly one transient frame, delivered in bus
-// order to an attached subscriber.
+// order to an attached subscriber, whose text is the event's EventText;
+// the decision log prints that same text.
 func TestFeedEventFramesMatchBus(t *testing.T) {
 	c, err := NewCluster(
 		WithSeed(42), WithLevel(L4), WithRobots(), WithTechnicians(2),
@@ -149,8 +150,12 @@ func TestFeedEventFramesMatchBus(t *testing.T) {
 	// and this test asserts lossless delivery.
 	h := controlplane.NewHub(controlplane.Config{QueueCap: 16384, Retain: 16384})
 	f := c.FeedControlPlane(h)
-	var tapped []uint64
-	c.TapEvents(func(ev Event) { tapped = append(tapped, ev.Seq) })
+	type row struct {
+		BusSeq uint64 `json:"bus_seq"`
+		Text   string `json:"text"`
+	}
+	var tapped []row
+	c.TapEvents(func(ev Event) { tapped = append(tapped, row{ev.Seq, EventText(ev)}) })
 
 	att, err := h.Attach(controlplane.AttachOptions{Client: "t"})
 	if err != nil {
@@ -161,7 +166,8 @@ func TestFeedEventFramesMatchBus(t *testing.T) {
 	c.Run(10 * Day)
 	f.Sync()
 
-	var got []uint64
+	var got []row
+	var decisions []string // journal.decision frames as decision-log lines
 	for {
 		frames, _ := att.Take(64)
 		if len(frames) == 0 {
@@ -171,13 +177,14 @@ func TestFeedEventFramesMatchBus(t *testing.T) {
 			if fr.Key != "" {
 				continue // keyed state frames
 			}
-			var p struct {
-				BusSeq uint64 `json:"bus_seq"`
-			}
+			var p row
 			if err := json.Unmarshal(fr.Data, &p); err != nil {
 				t.Fatalf("event payload: %v\n%s", err, fr.Data)
 			}
-			got = append(got, p.BusSeq)
+			got = append(got, p)
+			if fr.Topic == controlplane.Topic(TopicDecision) {
+				decisions = append(decisions, "["+fr.At.String()+"] "+p.Text)
+			}
 		}
 	}
 	if len(tapped) == 0 {
@@ -188,7 +195,17 @@ func TestFeedEventFramesMatchBus(t *testing.T) {
 	}
 	for i := range got {
 		if got[i] != tapped[i] {
-			t.Fatalf("event %d out of order: frame bus_seq %d, tap %d", i, got[i], tapped[i])
+			t.Fatalf("event %d: frame %+v, tap %+v", i, got[i], tapped[i])
+		}
+	}
+	// The decision log prints the same text as the stream's decision frames.
+	log := c.DecisionLog(0)
+	if len(log) == 0 || len(log) > len(decisions) {
+		t.Fatalf("decision log has %d lines, stream %d decisions", len(log), len(decisions))
+	}
+	for i, line := range log {
+		if want := decisions[len(decisions)-len(log)+i]; line != want {
+			t.Fatalf("decision log line %d = %q, stream says %q", i, line, want)
 		}
 	}
 }
