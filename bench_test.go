@@ -339,10 +339,13 @@ func BenchmarkRouterDrainBurst(b *testing.B) {
 // suite before the destination-rooted engine. Sub-benchmarks cover the cold
 // path (every root's structure rebuilt), the maintindex-style drain/undrain
 // sweep step (shelved structures restore via the subgraph signature), the
-// warm steady state (zero allocations), and hall-large's daily availability
-// sample on a fat-tree k=12 at 1,000 Gbps, cold and warm. Every host of both
-// fabrics is single-homed, so its switch is its root: 20 roots serve the
-// xpander's 160 host destinations, and 72 the fat-tree's 432.
+// warm steady state (zero allocations), hall-large's daily availability
+// sample on a fat-tree k=12 at 1,000 Gbps, cold and warm, and the
+// topology-design Jellyfish (n=20, r=8, 8 hosts per switch) warm at full
+// host injection, where the share changes from one source pair to the next.
+// Every host of these fabrics is single-homed, so its switch is its root: 20
+// roots serve the xpander's 160 host destinations and the Jellyfish's 160,
+// and 72 the fat-tree's 432.
 func BenchmarkUniformEvaluate(b *testing.B) {
 	net, err := topology.NewXpander(topology.XpanderConfig{
 		Degree: 9, Lift: 2, HostsPerSwitch: 8,
@@ -351,15 +354,7 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var offered float64
-	for _, h := range net.Hosts() {
-		for _, p := range h.Ports {
-			if p.Link != nil {
-				offered += p.Link.GbpsCap
-			}
-		}
-	}
-	tm := routing.UniformMatrix(net, offered)
+	tm := fullInjection(net)
 	b.Run("cold", func(b *testing.B) { benchCold(b, net, tm) })
 	b.Run("drain-sweep-step", func(b *testing.B) {
 		r := routing.NewRouter(net, nil)
@@ -375,32 +370,49 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 			_ = r.EvaluateInto(&ws, tm)
 		}
 	})
-	b.Run("warm", func(b *testing.B) {
-		r := routing.NewRouter(net, nil)
-		var ws routing.Workspace
-		r.EvaluateInto(&ws, tm)
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = r.EvaluateInto(&ws, tm)
-		}
-	})
+	b.Run("warm", func(b *testing.B) { benchWarm(b, net, tm) })
 	ft, err := topology.NewFatTree(topology.DefaultFatTree(12))
 	if err != nil {
 		b.Fatal(err)
 	}
 	ftm := routing.UniformMatrix(ft, 1000)
 	b.Run("cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm) })
-	b.Run("warm-fattree-k12", func(b *testing.B) {
-		r := routing.NewRouter(ft, nil)
-		var ws routing.Workspace
-		r.EvaluateInto(&ws, ftm)
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = r.EvaluateInto(&ws, ftm)
-		}
+	b.Run("warm-fattree-k12", func(b *testing.B) { benchWarm(b, ft, ftm) })
+	jf, err := topology.NewJellyfish(topology.JellyfishConfig{
+		Switches: 20, FabricDegree: 8, HostsPerSwitch: 8,
+		FabricGbps: 100, HostGbps: 100, Seed: 3,
 	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("warm-jellyfish", func(b *testing.B) { benchWarm(b, jf, fullInjection(jf)) })
+}
+
+// fullInjection is the uniform matrix that offers every host link's
+// capacity, the load maintindex probes each fabric with.
+func fullInjection(net *topology.Network) routing.TrafficMatrix {
+	var offered float64
+	for _, h := range net.Hosts() {
+		for _, p := range h.Ports {
+			if p.Link != nil {
+				offered += p.Link.GbpsCap
+			}
+		}
+	}
+	return routing.UniformMatrix(net, offered)
+}
+
+// benchWarm evaluates tm repeatedly on an unchanged fabric through one
+// workspace, after a first evaluation has built every root's structure.
+func benchWarm(b *testing.B, net *topology.Network, tm routing.TrafficMatrix) {
+	r := routing.NewRouter(net, nil)
+	var ws routing.Workspace
+	r.EvaluateInto(&ws, tm)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = r.EvaluateInto(&ws, tm)
+	}
 }
 
 // benchCold evaluates tm with every root's structure rebuilt on recycled

@@ -26,6 +26,9 @@ go test -race ./...
 echo "== fuzz (EvaluateInto against its per-pair spec, 10 s)"
 go test -run '^$' -fuzz '^FuzzEvaluateMatchesSpec$' -fuzztime 10s ./internal/routing
 
+echo "== fuzz (repeated-addition kernel: the plain loop's bits, 10 s)"
+go test -run '^$' -fuzz '^FuzzAddRepeated$' -fuzztime 10s ./internal/routing
+
 echo "== fuzz (flight-recording reader: error, never panic, 10 s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/flightrec
 
@@ -34,6 +37,9 @@ go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/wire
 
 echo "== fuzz (SSE stream reader: frames then EOF, never panic, 10 s)"
 go test -run '^$' -fuzz '^FuzzSSEReader$' -fuzztime 10s ./internal/controlplane
+
+echo "== fuzz (SSE query parameters: 400, 409 or a hello, bounded sessions, 10 s)"
+go test -run '^$' -fuzz '^FuzzStreamParams$' -fuzztime 10s ./internal/controlplane
 
 echo "== shard-diff (sharded == single-engine, all worker counts)"
 make shard-diff

@@ -1,11 +1,13 @@
 package controlplane
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -289,4 +291,89 @@ func TestStreamDropsFrameInBand(t *testing.T) {
 	if !sawDrops {
 		t.Fatal("no in-band drops frame after forced overflow")
 	}
+}
+
+// FuzzStreamParams drives the stream endpoint with arbitrary proto, last,
+// topics, resume and client query values, on one hub across every input:
+// each request must end in a 400, a 409, or a well-formed hello frame (and
+// in snapshot mode the snapshot at the hello's seq), never a panic. The
+// request context is already cancelled, so the handler returns once the
+// handshake is written. After every request the session registry must
+// stay within MaxSessions: one session is held attached throughout, so
+// eviction always has a detached one to remove.
+func FuzzStreamParams(f *testing.F) {
+	f.Add("", "", "", "", "w")
+	f.Add("1", "3", "cp.status,sense.alert", "s2", "w")
+	f.Add("2", "", "", "", "")
+	f.Add("1", "banana", "", "", "")
+	f.Add("", "0", "", "s1", "busy")
+	f.Add("", "18446744073709551615", " , ,cp.health,", "s3", "\xff")
+	f.Add("1", "5", "cp.ticket", "s999", "")
+
+	const maxSessions = 8
+	h := NewHub(Config{QueueCap: 4, Retain: 8, MaxSessions: maxSessions})
+	for i := range 12 {
+		h.Publish(TopicStatus, "status", false, sim.Time(i), []byte(`{"n":`+strconv.Itoa(i)+`}`))
+		h.Publish("sense.alert", "", false, sim.Time(i), []byte(`{"bus_seq":`+strconv.Itoa(i)+`}`))
+	}
+	held, err := h.Attach(AttachOptions{Client: "held"}) // session s1 stays live: resume=s1 is a 409
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer h.Detach(held)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	n := 12
+
+	f.Fuzz(func(t *testing.T, proto, last, topics, resume, client string) {
+		n++
+		h.Publish("sense.alert", "", false, sim.Time(n), []byte(`{"bus_seq":`+strconv.Itoa(n)+`}`))
+		q := url.Values{}
+		for _, kv := range [...][2]string{{"proto", proto}, {"last", last}, {"topics", topics}, {"resume", resume}, {"client", client}} {
+			if kv[1] != "" {
+				q.Set(kv[0], kv[1])
+			}
+		}
+		req := httptest.NewRequest(http.MethodGet, "/v1/stream?"+q.Encode(), nil).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.StreamHandler().ServeHTTP(rec, req)
+
+		switch rec.Code {
+		case http.StatusBadRequest, http.StatusConflict:
+		case http.StatusOK:
+			if ct := rec.Header().Get("Content-Type"); ct != "text/event-stream" {
+				t.Fatalf("query %q: content type %q", q.Encode(), ct)
+			}
+			r := NewSSEReader(rec.Body)
+			fr, err := r.Next()
+			if err != nil || fr.Event != "hello" {
+				t.Fatalf("query %q: first frame %+v, err %v", q.Encode(), fr, err)
+			}
+			var hello helloData
+			if err := json.Unmarshal([]byte(fr.Data), &hello); err != nil {
+				t.Fatalf("query %q: hello payload %v: %s", q.Encode(), err, fr.Data)
+			}
+			if hello.Proto != Proto || hello.Session == "" || hello.Resume != hello.Session {
+				t.Fatalf("query %q: malformed hello %+v", q.Encode(), hello)
+			}
+			switch hello.Mode {
+			case "resume":
+				if resume == "" {
+					t.Fatalf("query %q: resumed without a resume token", q.Encode())
+				}
+			case "snapshot":
+				snap, err := r.Next()
+				if err != nil || snap.Event != "snapshot" || snap.ID != strconv.FormatUint(hello.Seq, 10) || !json.Valid([]byte(snap.Data)) {
+					t.Fatalf("query %q: snapshot frame %+v, err %v after hello %+v", q.Encode(), snap, err, hello)
+				}
+			default:
+				t.Fatalf("query %q: hello mode %q", q.Encode(), hello.Mode)
+			}
+		default:
+			t.Fatalf("query %q: status %d: %s", q.Encode(), rec.Code, rec.Body)
+		}
+		if got := len(h.Sessions()); got > maxSessions {
+			t.Fatalf("session registry holds %d sessions, bound %d", got, maxSessions)
+		}
+	})
 }

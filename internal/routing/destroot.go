@@ -101,13 +101,19 @@ type destBuilder struct {
 // grow returns s with length n and all elements zero, reusing the backing
 // array when capacity allows.
 func grow[T int32 | float64 | bool](s []T, n int) []T {
+	s = resize(s, n)
+	clear(s)
+	return s
+}
+
+// resize returns s with length n, reusing the backing array when capacity
+// allows; the elements keep whatever values they held.
+func resize[T int32 | float64 | bool](s []T, n int) []T {
 	if cap(s) < n {
 		//lint:allow hotpathalloc a reused scratch buffer grows only when the fabric or matrix does; steady state never re-enters
 		return make([]T, n)
 	}
-	s = s[:n]
-	clear(s)
-	return s
+	return s[:n]
 }
 
 // destLinkSig returns the Zobrist contribution of one link to the subgraph

@@ -20,10 +20,18 @@
 // the int32 link IDs of transit devices' path suffixes toward the root,
 // which EvaluateInto and LatencyModel.WorstPairLatency read as first-hop +
 // suffix segments followed by the tail; they are the router's only
-// representation of ECMP paths. EvaluateInto reads them once per run of
-// consecutive demands with one source, one rate and one destination root,
-// summing each link's repeated additions in a register, which leaves every
-// sum bit-identical to per-demand evaluation.
+// representation of ECMP paths.
+//
+// EvaluateInto reads them once per run of consecutive demands with one
+// source, one rate and one destination root. Every link load and every
+// total receives exactly the floating-point additions, in exactly the
+// order, that per-demand evaluation gives it, so every sum is
+// bit-identical; only their execution is cheaper. Long chains of one value
+// (a run's first hop, the offered and satisfied totals) are computed in
+// O(log c) integer steps by an exact kernel, addRepeated (sum.go): while a
+// sum stays in one binade, each addition of the same value adds the same
+// whole number of ulps. Short chains on distinct links are summed in
+// independent registers.
 //
 // A link leaving the usable subgraph touches only the fields whose bitset
 // holds it, and most of those are settled by an exact O(degree) test: if
@@ -417,14 +425,15 @@ func (a Assessment) String() string {
 }
 
 // Workspace holds the scratch buffers one traffic-matrix evaluation needs.
-// A zero Workspace is ready to use; buffers grow to the fabric size on
-// first evaluation and are retained, so steady-state assessment through
-// EvaluateInto allocates nothing. A Workspace must not be shared across
-// goroutines.
+// A zero Workspace is ready to use; buffers grow to the fabric and matrix
+// size on first evaluation and are retained, so steady-state assessment
+// through EvaluateInto allocates nothing. A Workspace must not be shared
+// across goroutines.
 type Workspace struct {
 	perDemand []float64
 	linkLoad  []float64
 	over      []float64
+	runEnds   []int32 // the end of each run of the matrix, in order
 }
 
 // EvaluateInto routes the matrix over the usable subgraph: each demand
@@ -443,53 +452,61 @@ type Workspace struct {
 // d's root, and then d's tail, if it has one. A source at the root has one
 // path, the tail alone.
 //
-// Demands are evaluated run by run (see runEnd). The demands of a run share
+// Demands are evaluated run by run (see runEnd): the demands of a run share
 // a source, a rate and a root, so they have the same paths up to their
-// tails and the same share on each. The load pass walks a run's segments
-// once, and each first-hop and suffix link takes the run's repeated
-// additions in a register: they are all the same share and no demand
-// outside the run falls between them, so each link receives the per-pair
-// paths' additions one by one, and its sum is unchanged. Each demand's
-// tail, which no path of its run crosses, takes its own n additions in
-// demand order. The satisfaction pass takes each path's worst overload
-// factor before the tail once per run and folds in each demand's tail
-// factor; when no link is overloaded every factor is 1, and a run's
-// achieved rate is its share added n times. The Assessment is therefore
-// byte-identical to the per-pair specification.
+// tails and the same share on each. Every link and every total receives
+// exactly the additions, in exactly the order, that the per-pair paths
+// give it; only the way they are executed differs, so the Assessment is
+// byte-identical to the per-pair specification:
+//
+//   - Each first hop of a run takes c·m additions of one share, and the
+//     offered and satisfied totals take stretches of equal values across
+//     runs (the 186,192 offered rates of a uniform matrix on a k=12
+//     fat-tree are one stretch). Long chains go through addRepeated, which
+//     computes them exactly in O(log c) steps.
+//   - Suffix positions take m additions each, summed in windows of up to
+//     min(4, suffix length) independent registers (see addSuffixes), and a
+//     run's tails, which no other path of the run crosses, n each, in pairs
+//     of distinct links.
+//   - The satisfaction pass reads the run boundaries the load pass stored.
+//     When no link is overloaded every factor is 1, and a run's achieved
+//     rate and satisfied fraction are computed once. Otherwise each path's
+//     worst overload factor before the tail is taken once per run. A tail
+//     factor no larger than every one of those changes no path's factor,
+//     so it yields the run's base rate; a demand's achieved rate is
+//     recomputed only when a larger tail factor differs from the previous
+//     demand's.
 //
 //selfmaint:hotpath
 func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	r.prepareDests(tm)
 	nl := len(r.net.Links)
-	ws.perDemand = grow(ws.perDemand, len(tm.Demands))
+	ws.perDemand = resize(ws.perDemand, len(tm.Demands)) // every entry is written below
 	ws.linkLoad = grow(ws.linkLoad, nl)
 	ws.over = grow(ws.over, nl)
+	ws.runEnds = ws.runEnds[:0]
 	as := Assessment{
 		PerDemand: ws.perDemand,
 		LinkLoad:  ws.linkLoad,
 	}
 	load := as.LinkLoad
+	var offered repeatSum
 	for i := 0; i < len(tm.Demands); {
-		run := tm.Demands[i:r.runEnd(tm.Demands, i)]
-		i += len(run)
-		for _, d := range run {
-			as.OfferedGbps += d.Gbps
-		}
+		end := r.runEnd(tm.Demands, i)
+		run := tm.Demands[i:end]
+		i = end
+		//lint:allow hotpathalloc grows to the matrix's run count once; the buffer is retained on the workspace
+		ws.runEnds = append(ws.runEnds, int32(end))
+		// A run's rates are equal (==); ±0 add alike to a total that starts
+		// at +0, so the run adds its first rate len(run) times.
+		offered.add(run[0].Gbps, len(run))
 		ds, _, n := r.routeCount(run[0])
 		if n == 0 {
 			as.Unreachable += len(run)
 			continue
 		}
 		share := run[0].Gbps / float64(n)
-		for _, d := range run {
-			if tail := r.route[d.Dst].tail; tail >= 0 {
-				acc := load[tail]
-				for range n {
-					acc += share // the tail ends every path
-				}
-				load[tail] = acc
-			}
-		}
+		r.addTails(load, run, share, n)
 		k := ds.plen[run[0].Src]
 		if k == 0 {
 			continue // a source at the root: its one path is the tail
@@ -505,37 +522,12 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 			p := np.Peer.ID
 			c := min(n, ds.count[p])
 			n -= c
-			acc := load[np.Link.ID]
-			for range int(c) * m {
-				acc += share // separate adds, never one multiply: bit-exact sums
-			}
-			load[np.Link.ID] = acc
-			// Consecutive positions of one segment are distinct links, so
-			// they are summed in pairs with two independent accumulators.
-			// Within a suffix a shortest path repeats no link. Across a
-			// suffix boundary the two links sit at different distance
-			// levels, unless the suffixes are single links, and then they
-			// are distinct suffixes of p and so distinct links.
+			load[np.Link.ID] = addN(load[np.Link.ID], share, int(c)*m)
 			s := ds.start[p]
-			seg := ds.arena[s : s+c*(k-1)]
-			for ; len(seg) >= 2; seg = seg[2:] {
-				a, b := seg[0], seg[1]
-				x, y := load[a], load[b]
-				for range m {
-					x += share
-					y += share
-				}
-				load[a], load[b] = x, y
-			}
-			if len(seg) == 1 {
-				x := load[seg[0]]
-				for range m {
-					x += share
-				}
-				load[seg[0]] = x
-			}
+			addSuffixes(load, ds.arena[s:s+c*(k-1)], k-1, share, m)
 		}
 	}
+	as.OfferedGbps = offered.sum()
 	// Overload factors.
 	for id, l := range load {
 		cap := r.net.Links[id].GbpsCap
@@ -550,13 +542,16 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 			ws.over[id] = u
 		}
 	}
+	var satisfied repeatSum
 	var factor [maxPaths]float64
-	for i := 0; i < len(tm.Demands); {
-		first := i
-		run := tm.Demands[i:r.runEnd(tm.Demands, i)]
-		i += len(run)
+	first := 0
+	for _, end := range ws.runEnds {
+		run := tm.Demands[first:end]
+		per := as.PerDemand[first:end]
+		first = int(end)
 		ds, _, n := r.routeCount(run[0])
 		if n == 0 {
+			clear(per) // unreachable: nothing is satisfied
 			continue
 		}
 		share := run[0].Gbps / float64(n)
@@ -565,27 +560,131 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 			for range n {
 				achieved += share // every bottleneck factor is 1
 			}
-			for j, d := range run {
-				as.SatisfiedGbps += achieved
-				as.PerDemand[first+j] = achieved / d.Gbps
+			satisfied.add(achieved, len(run))
+			frac := achieved / run[0].Gbps
+			for j := range per {
+				per[j] = frac
 			}
 			continue
 		}
+		// A path's factor is max(its factor before the tail, the tail's
+		// factor). Every factor before the tail is at least 1, so a tail
+		// factor at most floor, the smallest of them, changes no path's:
+		// such a demand's achieved rate is base, the one for factor 1.
 		paths := r.pathFactors(&factor, ws.over, ds, run[0].Src, n)
+		floor, base := paths[0], 0.0
+		for _, pf := range paths {
+			floor = min(floor, pf)
+			base += share / pf
+		}
+		last, achieved := 1.0, base
+		frac := achieved / run[0].Gbps
 		for j, d := range run {
-			last := 1.0 // the tail's factor, shared by every path
-			if tail := r.route[d.Dst].tail; tail >= 0 {
-				last = max(1, ws.over[tail])
+			f := 1.0 // the tail's factor where it changes a path's, shared by every path
+			if tail := r.route[d.Dst].tail; tail >= 0 && ws.over[tail] > floor {
+				f = ws.over[tail]
 			}
-			achieved := 0.0
-			for _, f := range paths {
-				achieved += share / max(f, last)
+			if f != last {
+				last, achieved = f, 0
+				for _, pf := range paths {
+					achieved += share / max(pf, f)
+				}
+				frac = achieved / run[0].Gbps
 			}
-			as.SatisfiedGbps += achieved
-			as.PerDemand[first+j] = achieved / d.Gbps
+			satisfied.add(achieved, 1)
+			per[j] = frac
 		}
 	}
+	as.SatisfiedGbps = satisfied.sum()
 	return as
+}
+
+// addTails adds each demand's share n times to its tail, the last link of
+// every one of its paths. A tail's far end has exactly one usable link, so
+// no path of the run crosses it elsewhere: each tail takes its own demand's
+// additions, in demand order. Two consecutive demands with distinct tails
+// are summed in two registers at once; a run can repeat a destination, and
+// then the second demand's additions follow the first's on the same link.
+//
+//selfmaint:hotpath
+func (r *Router) addTails(load []float64, run []Demand, share float64, n int32) {
+	route := r.route
+	for j := 0; j < len(run); j++ {
+		a := route[run[j].Dst].tail
+		if a < 0 {
+			continue
+		}
+		if j+1 < len(run) {
+			if b := route[run[j+1].Dst].tail; b >= 0 && b != a {
+				x, y := load[a], load[b]
+				for range n {
+					x += share
+					y += share
+				}
+				load[a], load[b] = x, y
+				j++
+				continue
+			}
+		}
+		x := load[a]
+		for range n {
+			x += share
+		}
+		load[a] = x
+	}
+}
+
+// addSuffixes adds share m times to each link of seg, consecutive suffixes
+// of l links each, as separate additions from each link's current load.
+// Windows of up to min(4, l) consecutive positions are summed in
+// independent registers, which needs a window's links to be distinct: the
+// j-th link of every suffix joins the same two distance levels toward the
+// root, and a window no longer than a suffix covers each level at most
+// once. A link joins exactly one pair of levels, so the window's links
+// differ, and no register's store drops another's additions.
+//
+//selfmaint:hotpath
+func addSuffixes(load []float64, seg []int32, l int32, share float64, m int) {
+	for l >= 4 && len(seg) >= 4 {
+		a, b, c, d := seg[0], seg[1], seg[2], seg[3]
+		w, x, y, z := load[a], load[b], load[c], load[d]
+		for range m {
+			w += share
+			x += share
+			y += share
+			z += share
+		}
+		load[a], load[b], load[c], load[d] = w, x, y, z
+		seg = seg[4:]
+	}
+	for l >= 3 && len(seg) >= 3 {
+		a, b, c := seg[0], seg[1], seg[2]
+		x, y, z := load[a], load[b], load[c]
+		for range m {
+			x += share
+			y += share
+			z += share
+		}
+		load[a], load[b], load[c] = x, y, z
+		seg = seg[3:]
+	}
+	for l >= 2 && len(seg) >= 2 {
+		a, b := seg[0], seg[1]
+		x, y := load[a], load[b]
+		for range m {
+			x += share
+			y += share
+		}
+		load[a], load[b] = x, y
+		seg = seg[2:]
+	}
+	for _, a := range seg {
+		x := load[a]
+		for range m {
+			x += share
+		}
+		load[a] = x
+	}
 }
 
 // runEnd returns the end of the run that starts at demand i: the maximal

@@ -36,17 +36,20 @@ type Feed struct {
 
 	// Handler-side buffers: appended to inside bus/injector callbacks,
 	// drained by Sync. The simulation is single-threaded, so no locking.
-	pendingEv     []bus.Event
-	pendingHealth []healthChange
-	dirty         []int // ticket ids touched since the last Sync, first-touch order
-	dirtySet      map[int]bool
+	// pending holds both kinds of callback in arrival order, which is
+	// virtual-time order: each fires at the engine's current time.
+	pending  []change
+	dirty    []int // ticket ids touched since the last Sync, first-touch order
+	dirtySet map[int]bool
 }
 
-// healthChange is one observable link-health transition.
-type healthChange struct {
+// change is one buffered callback: an observable link-health transition
+// when link is set, a bus event otherwise.
+type change struct {
 	link string
 	to   faults.Health
 	at   sim.Time
+	ev   bus.Event
 }
 
 // FeedControlPlane attaches a feed to the cluster: every pipeline bus event
@@ -66,7 +69,7 @@ func (c *Cluster) FeedControlPlane(h *controlplane.Hub) *Feed {
 	now := c.Now()
 	for _, l := range c.w.Net.Links {
 		if obs := c.w.Inj.Observable(l.ID); obs != faults.Healthy {
-			f.pendingHealth = append(f.pendingHealth, healthChange{link: l.Name(), to: obs, at: now})
+			f.pending = append(f.pending, change{link: l.Name(), to: obs, at: now})
 		}
 	}
 	for _, t := range c.w.Store.All() {
@@ -90,7 +93,7 @@ func (f *Feed) onEvent(ev bus.Event) {
 	if f.closed {
 		return
 	}
-	f.pendingEv = append(f.pendingEv, ev)
+	f.pending = append(f.pending, change{ev: ev})
 	switch p := ev.Payload.(type) {
 	case bus.TicketEvent:
 		f.markDirty(p.ID)
@@ -118,7 +121,7 @@ func (f *Feed) LinkStateChanged(l *topology.Link, from, to faults.Health, at sim
 	if f.closed {
 		return
 	}
-	f.pendingHealth = append(f.pendingHealth, healthChange{link: l.Name(), to: to, at: at})
+	f.pending = append(f.pending, change{link: l.Name(), to: to, at: at})
 }
 
 // LinkFlapped implements faults.Listener. Flap episodes do not change the
@@ -127,22 +130,24 @@ func (f *Feed) LinkStateChanged(l *topology.Link, from, to faults.Health, at sim
 // tap.
 func (f *Feed) LinkFlapped(l *topology.Link, dur sim.Time, lossFrac float64, at sim.Time) {}
 
-// Sync drains everything buffered since the last call into the hub:
-// health transitions (tombstoning recovered links), bus event frames,
-// refreshed rows for touched tickets, and a fresh status summary. Call it
-// at the step edge, never from inside a bus or injector callback — this is
-// the half that takes the hub lock.
+// Sync drains everything buffered since the last call into the hub: health
+// transitions (tombstoning recovered links) and bus event frames,
+// interleaved in the order they happened, then refreshed rows for touched
+// tickets and a fresh status summary, both at the current time. The
+// frames' virtual times therefore never decrease. Call it at the step
+// edge, never from inside a bus or injector callback — this is the half
+// that takes the hub lock.
 func (f *Feed) Sync() {
 	now := f.c.Now()
-	for _, hc := range f.pendingHealth {
-		if hc.to == faults.Healthy {
-			f.hub.Publish(controlplane.TopicHealth, hc.link, true, hc.at, nil)
-		} else {
-			f.hub.Publish(controlplane.TopicHealth, hc.link, false, hc.at, renderHealth(hc.to))
+	for _, ch := range f.pending {
+		switch {
+		case ch.link == "":
+			f.hub.Publish(controlplane.Topic(ch.ev.Topic), "", false, ch.ev.At, renderEvent(ch.ev))
+		case ch.to == faults.Healthy:
+			f.hub.Publish(controlplane.TopicHealth, ch.link, true, ch.at, nil)
+		default:
+			f.hub.Publish(controlplane.TopicHealth, ch.link, false, ch.at, renderHealth(ch.to))
 		}
-	}
-	for _, ev := range f.pendingEv {
-		f.hub.Publish(controlplane.Topic(ev.Topic), "", false, ev.At, renderEvent(ev))
 	}
 	for _, id := range f.dirty {
 		if t := f.lookup(id); t != nil {
@@ -151,8 +156,7 @@ func (f *Feed) Sync() {
 	}
 	f.hub.Publish(controlplane.TopicStatus, "status", false, now, f.renderStatus(now))
 
-	f.pendingHealth = f.pendingHealth[:0]
-	f.pendingEv = f.pendingEv[:0]
+	f.pending = f.pending[:0]
 	f.dirty = f.dirty[:0]
 	clear(f.dirtySet)
 }

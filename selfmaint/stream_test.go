@@ -257,7 +257,55 @@ func TestFeedClose(t *testing.T) {
 	if h.Seq() != seq+1 { // Sync still publishes one final status frame
 		t.Fatalf("closed feed advanced hub seq %d -> %d", seq, h.Seq())
 	}
-	if len(f.pendingEv) != 0 || len(f.pendingHealth) != 0 {
-		t.Fatalf("closed feed kept buffering: %d events, %d health", len(f.pendingEv), len(f.pendingHealth))
+	if len(f.pending) != 0 {
+		t.Fatalf("closed feed kept buffering: %d callbacks", len(f.pending))
+	}
+}
+
+// One Sync over several days publishes health transitions and bus events
+// interleaved as they happened: the delta frames' virtual times never
+// decrease, so a watcher reads the stream in order without re-sorting.
+func TestFeedSyncPublishesInTimeOrder(t *testing.T) {
+	c, err := NewCluster(
+		WithSeed(42), WithLevel(L4), WithRobots(), WithTechnicians(2),
+		WithFaultAcceleration(30),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Deep queue: the test reads every frame of a 5-day Sync.
+	h := controlplane.NewHub(controlplane.Config{QueueCap: 16384, Retain: 16384})
+	f := c.FeedControlPlane(h)
+	att, err := h.Attach(controlplane.AttachOptions{Client: "t"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Detach(att)
+	c.Run(5 * Day)
+	f.Sync()
+
+	var health, events int
+	var prev *controlplane.Frame
+	for {
+		frames, _ := att.Take(64)
+		if len(frames) == 0 {
+			break
+		}
+		for _, fr := range frames {
+			switch {
+			case fr.Topic == controlplane.TopicHealth:
+				health++
+			case fr.Key == "":
+				events++
+			}
+			if prev != nil && fr.At < prev.At {
+				t.Fatalf("frame %d (%s) at %s follows frame %d (%s) at %s",
+					fr.Seq, fr.Topic, fr.At, prev.Seq, prev.Topic, prev.At)
+			}
+			prev = fr
+		}
+	}
+	if health == 0 || events == 0 {
+		t.Fatalf("5 days published %d health and %d event frames; raise acceleration", health, events)
 	}
 }
