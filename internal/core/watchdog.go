@@ -31,13 +31,13 @@ import (
 //   - RobotFailLimit robot-lane fires degrade the ticket to the human lane
 //     (forceHuman), the paper's graceful-degradation story for broken
 //     automation.
-func (a *Act) armWatchdog(w *workItem, actor exec.Actor, task exec.Task, x exec.Executor, robot bool, op exec.Operator, seq int) {
+func (a *Act) armWatchdog(w *workItem, l lane, actor exec.Actor, task exec.Task, op exec.Operator, seq int) {
 	c := a.c
 	if c.cfg.WatchdogFactor <= 0 {
 		return
 	}
 	var est sim.Time
-	if de, ok := x.(exec.DurationEstimator); ok {
+	if de, ok := l.x.(exec.DurationEstimator); ok {
 		est = de.EstimateDuration(actor, task)
 	}
 	deadline := sim.Time(float64(est) * c.cfg.WatchdogFactor)
@@ -45,12 +45,12 @@ func (a *Act) armWatchdog(w *workItem, actor exec.Actor, task exec.Task, x exec.
 		deadline = c.cfg.WatchdogFloor
 	}
 	w.watchdog = c.d.Eng.After(deadline, "act-watchdog", func() {
-		a.onWatchdog(w, actor, task, robot, op, seq, deadline)
+		a.onWatchdog(w, l, actor, task, op, seq, deadline)
 	})
 }
 
 // onWatchdog force-fails an attempt whose outcome never arrived in budget.
-func (a *Act) onWatchdog(w *workItem, actor exec.Actor, task exec.Task, robot bool, op exec.Operator, seq int, deadline sim.Time) {
+func (a *Act) onWatchdog(w *workItem, l lane, actor exec.Actor, task exec.Task, op exec.Operator, seq int, deadline sim.Time) {
 	c := a.c
 	if w.attemptSeq != seq || !w.active {
 		return // the outcome won the race; the timer should have been cancelled
@@ -59,14 +59,10 @@ func (a *Act) onWatchdog(w *workItem, actor exec.Actor, task exec.Task, robot bo
 	// reports (slow-complete losing the race, a stalled actuator recovering)
 	// it lands in onLateOutcome and must not double-release anything.
 	w.attemptSeq++
-	if op != nil {
-		op.Release()
-	}
-	a.undrain(w)
-	w.active = false
+	a.release(w, op)
 	w.attempts++
 	c.stats.WatchdogFires++
-	if robot {
+	if l.robot {
 		w.robotFails++
 		if c.cfg.RobotFailLimit > 0 && w.robotFails >= c.cfg.RobotFailLimit && !w.forceHuman {
 			w.forceHuman = true
@@ -91,7 +87,7 @@ func (a *Act) onWatchdog(w *workItem, actor exec.Actor, task exec.Task, robot bo
 		fmt.Sprintf("%v by %s: no outcome within %v (attempt %d, backoff %v)",
 			task.Action, actor.Name(), deadline, w.attempts, backoff))
 	c.d.Bus.Publish(bus.TopicWatchdog, bus.WatchdogFired{
-		Ticket: w.t.ID, Link: w.t.Link, Actor: actor.Name(), Robot: robot,
+		Ticket: w.t.ID, Link: w.t.Link, Actor: actor.Name(), Robot: l.robot,
 		Action: task.Action, Deadline: deadline, Attempt: w.attempts, Backoff: backoff,
 	})
 	c.d.Eng.After(backoff, "watchdog-retry", a.kickForTicket(w))
@@ -106,16 +102,16 @@ func (a *Act) onWatchdog(w *workItem, actor exec.Actor, task exec.Task, robot bo
 // triggers a dispatch pass. If the late work actually fixed the link, the
 // recovery alert (or the retry's redundant attempt) resolves the ticket
 // through the normal paths.
-func (a *Act) onLateOutcome(w *workItem, out exec.Outcome, robot bool) {
+func (a *Act) onLateOutcome(w *workItem, l lane, out exec.Outcome) {
 	c := a.c
 	c.stats.LateOutcomes++
-	lane := "human"
-	if robot {
-		lane = "robot"
+	who := "human"
+	if l.robot {
+		who = "robot"
 	}
 	c.log(EvLateOutcome, w.t.ID, w.t.Link.Name(),
 		fmt.Sprintf("%s %v by %s reported after its watchdog (completed=%t fixed=%t)",
-			lane, out.Task.Action, out.Actor, out.Completed, out.Fixed))
+			who, out.Task.Action, out.Actor, out.Completed, out.Fixed))
 	a.kickDispatch()
 }
 
