@@ -81,18 +81,14 @@ func cmdReplay(args []string) {
 	}
 	defer f.Close()
 	res, err := flightrec.Replay(f)
-	if err != nil {
-		fatal(err)
+	if err == nil {
+		err = res.Verify()
 	}
-	if res.Trailer == nil {
-		fatal(fmt.Errorf("%s: no trailer — recording was interrupted", args[0]))
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", args[0], err))
 	}
 	fmt.Printf("%d frames, %d metadata keys\n", res.Frames, len(res.Meta))
-	fmt.Printf("recorded fingerprint %016x\n", res.Trailer.Fingerprint)
-	fmt.Printf("replayed fingerprint %016x\n", res.Summary.Fingerprint())
-	if !res.Match() {
-		fatal(fmt.Errorf("MISMATCH: replay does not reproduce the recorded run"))
-	}
+	fmt.Printf("fingerprint %016x\n", res.Trailer.Fingerprint)
 	fmt.Println("match: replay reproduces the recorded run")
 }
 

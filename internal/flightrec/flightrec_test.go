@@ -1,6 +1,7 @@
 package flightrec
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -457,6 +458,56 @@ func TestTruncatedRecording(t *testing.T) {
 	}
 	if _, err := rd.Next(); err == nil || errors.Is(err, io.EOF) {
 		t.Fatalf("frame with no body: Next() = %v, want a truncation error that is not io.EOF", err)
+	}
+
+	// Verify: a recording cut cleanly before its trailer reads without a
+	// decode error, so only the missing trailer says the run was
+	// interrupted; a re-stamped trailer fingerprint must be reported with
+	// both values. The trailer is the last frame, so re-encoding the
+	// decoded one gives its bytes.
+	full, err := Replay(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	trailer := func(f Frame) []byte {
+		var buf bytes.Buffer
+		r := &Recorder{bw: bufio.NewWriter(&buf), e: newEnc()}
+		r.encodeFrame(f)
+		r.bw.Flush()
+		return buf.Bytes()
+	}
+	tb := trailer(*full.Trailer)
+	if !bytes.HasSuffix(data, tb) {
+		t.Fatal("re-encoded trailer is not the recording's last frame")
+	}
+	body := data[:len(data)-len(tb)]
+	restamped := *full.Trailer
+	restamped.Fingerprint ^= 1
+	altered := append(append([]byte(nil), body...), trailer(restamped)...)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		want []string // substrings of the error; none means Verify passes
+	}{
+		{"complete recording", data, nil},
+		{"cut before its trailer", body, []string{"no trailer, the recording was interrupted"}},
+		{"trailer fingerprint altered", altered, []string{
+			fmt.Sprintf("replayed fingerprint %016x", full.Trailer.Fingerprint),
+			fmt.Sprintf("recorded %016x", restamped.Fingerprint)}},
+	} {
+		res, err := Replay(bytes.NewReader(tc.data))
+		if err != nil {
+			t.Fatalf("%s: Replay: %v", tc.name, err)
+		}
+		err = res.Verify()
+		if (err == nil) != (tc.want == nil) || res.Match() != (err == nil) {
+			t.Fatalf("%s: Verify() = %v, Match() = %t", tc.name, err, res.Match())
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("%s: Verify() = %q, want it to contain %q", tc.name, err, w)
+			}
+		}
 	}
 }
 

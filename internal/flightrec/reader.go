@@ -3,6 +3,7 @@ package flightrec
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -252,8 +253,19 @@ type Result struct {
 
 // Match reports whether the replayed fingerprint equals the live one — the
 // lossless-round-trip check.
-func (res *Result) Match() bool {
-	return res.Trailer != nil && res.Summary.Fingerprint() == res.Trailer.Fingerprint
+func (res *Result) Match() bool { return res.Verify() == nil }
+
+// Verify is Match with the reason: nil when the replay reproduces the
+// recorded run, otherwise an error saying that the recording has no
+// trailer or giving both fingerprints.
+func (res *Result) Verify() error {
+	if res.Trailer == nil {
+		return errors.New("flightrec: no trailer, the recording was interrupted")
+	}
+	if got, want := res.Summary.Fingerprint(), res.Trailer.Fingerprint; got != want {
+		return fmt.Errorf("flightrec: replayed fingerprint %016x != recorded %016x: the recording is corrupt or the codec is lossy", got, want)
+	}
+	return nil
 }
 
 // Replay decodes an entire recording into a fresh Summary without any

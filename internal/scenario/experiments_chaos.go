@@ -312,15 +312,11 @@ func replayFile(path string) (*flightrec.Result, error) {
 	}
 	defer f.Close()
 	res, err := flightrec.Replay(f)
+	if err == nil {
+		err = res.Verify()
+	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	if res.Trailer == nil {
-		return nil, fmt.Errorf("%s: recording has no trailer (interrupted run?)", filepath.Base(path))
-	}
-	if !res.Match() {
-		return nil, fmt.Errorf("%s: replay fingerprint %016x != recorded %016x — recording is corrupt or the codec is lossy",
-			filepath.Base(path), res.Summary.Fingerprint(), res.Trailer.Fingerprint)
 	}
 	return res, nil
 }

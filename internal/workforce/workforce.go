@@ -155,24 +155,6 @@ func (c *Crew) DispatchDelay(at sim.Time) sim.Time {
 	return sim.Time(hours * float64(sim.Hour))
 }
 
-// actionDuration samples hands-on time for an action.
-func (c *Crew) actionDuration(a faults.Action) sim.Time {
-	var d sim.Dist
-	switch a {
-	case faults.Reseat:
-		d = c.cfg.Reseat
-	case faults.Clean:
-		d = c.cfg.Clean
-	case faults.ReplaceXcvr:
-		d = c.cfg.ReplaceXcvr
-	case faults.ReplaceCable:
-		d = c.cfg.ReplaceCable
-	default:
-		d = c.cfg.ReplaceSwitch
-	}
-	return sim.SampleDuration(d, c.rng())
-}
-
 // EstimateExecDuration bounds the nominal end-to-end latency of one Execute
 // call, for watchdog arming: mean dispatch overhead plus the mean on-call
 // surcharge (the estimate must cover off-shift dispatches too), a walk
@@ -186,6 +168,7 @@ func (c *Crew) EstimateExecDuration(a faults.Action) sim.Time {
 	return d
 }
 
+// actionDist is the hands-on time distribution, in seconds, of an action.
 func actionDist(cfg Config, a faults.Action) sim.Dist {
 	switch a {
 	case faults.Reseat:
@@ -249,7 +232,7 @@ func (c *Crew) handsOn(tech *Technician, task exec.Task, out Outcome, done func(
 	c.inj.BeginRepair(task.Link)
 	row := task.Port().Device.Loc.Row
 	c.activeRows[row]++
-	work := c.actionDuration(task.Action)
+	work := sim.SampleDuration(actionDist(c.cfg, task.Action), rng)
 	c.eng.After(work, "tech-work", func() {
 		c.activeRows[row]--
 		if task.Action == faults.ReplaceCable {
