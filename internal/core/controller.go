@@ -18,9 +18,10 @@
 //	         (policy.go); the Planner runs proactive campaigns and the
 //	         failure predictor (plan.go, predict.go), producing
 //	         plan.request
-//	Act    — dispatches physical work through exec.Executor backends
-//	         (dispatch.go, outcome.go), consuming triage.ticket and
-//	         producing act.dispatch / act.outcome
+//	Act    — dispatches physical work through exec.Executor backends,
+//	         robots and technicians through one path that differs only by
+//	         lane (dispatch.go, outcome.go, watchdog.go), consuming
+//	         triage.ticket and producing act.dispatch / act.outcome
 //
 // Controller is the thin supervisor that wires the stages onto the bus; the
 // journal (journal.go) records every decision published on

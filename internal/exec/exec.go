@@ -4,8 +4,10 @@
 // internal/robot and internal/workforce provide adapters satisfying
 // Executor, so the control plane in internal/core depends only on this
 // package — the decoupling the paper's §4 "software-defined maintenance"
-// agenda asks for, and the seam a follow-up PR uses to add new backends
-// (contractor pools, per-pod fleets) without touching dispatch code.
+// agenda asks for. internal/core runs both backends through one dispatch,
+// watchdog and outcome path and tells them apart only as its robot and
+// human lanes, so a new backend (contractor pools, per-pod fleets) plugs in
+// without touching dispatch code.
 package exec
 
 import (
@@ -38,6 +40,8 @@ type Outcome struct {
 	Fixed     bool
 	// NeedsHuman is set when a robotic executor gives up and requests human
 	// support (perception failure, verification failure, mechanical abort).
+	// Human backends leave it false: Act escalates any outcome carrying it
+	// to the human lane, whichever lane reported it.
 	NeedsHuman bool
 	// Stockout is set when the task needs a spare the inventory cannot
 	// supply right now.
