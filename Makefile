@@ -75,7 +75,7 @@ cp-smoke:
 # Smoke-run the quick experiment suite on all host cores (output discarded;
 # the determinism tests cover correctness, this covers the CLI path).
 experiments-quick:
-	$(GO) run ./cmd/experiments -quick -parallel 0 > /dev/null
+	$(GO) run ./cmd/experiments -quick > /dev/null
 
 # Region-sharding differential gate: a one-shard MultiEngine world must be
 # byte-identical to a plain-Engine build, and the sharded fleet must produce

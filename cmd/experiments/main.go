@@ -4,10 +4,9 @@
 //	experiments -quick           # fast pass (small hall, 90 days, 2 seeds)
 //	experiments -run T1,F4       # selected experiments only (unknown ids are an error)
 //	experiments -csv DIR         # also write CSV files into DIR
-//	experiments -parallel 4      # cap the simulation worker pool at 4
 //	experiments -workers 4       # one worker count everywhere: the cell pool
 //	                             # AND the F8 shard coordinator sweep ({1, N})
-//	experiments -serial          # one worker, no goroutines (bit-identical to -parallel N)
+//	experiments -serial          # one worker, no goroutines (bit-identical to -workers N)
 //	experiments -bench-json PATH # write the BENCH perf artifact (timings, cells/sec, allocs)
 //	experiments -cpuprofile F    # write a CPU profile of the suite run
 //	experiments -memprofile F    # write a post-run heap profile (after GC)
@@ -42,7 +41,6 @@ func main() {
 		quick     = flag.Bool("quick", false, "small hall, shorter runs")
 		runs      = flag.String("run", "", "comma-separated experiment ids ("+strings.Join(scenario.ExperimentIDs(), ",")+"); empty = all")
 		csv       = flag.String("csv", "", "directory to write CSV artifacts into")
-		parallel  = flag.Int("parallel", 0, "simulation worker-pool size; 0 = all host cores")
 		workersN  = flag.Int("workers", 0, "worker count for the cell pool AND the F8 shard coordinator (sweeps {1, N}); 0 = defaults")
 		serial    = flag.Bool("serial", false, "run everything on one worker (escape hatch; same output)")
 		benchJSON = flag.String("bench-json", "", "write a BENCH_experiments.json perf artifact to this path")
@@ -71,17 +69,11 @@ func main() {
 
 	// Validate worker flags up front, before any simulation runs: a bad
 	// worker count discovered mid-suite throws the run away.
-	if *parallel < 0 {
-		fail(fmt.Errorf("-parallel %d: must be >= 0 (0 = all host cores)", *parallel))
-	}
 	if *workersN < 0 {
 		fail(fmt.Errorf("-workers %d: must be >= 0 (0 = defaults)", *workersN))
 	}
 	if *workersN > 0 && *serial && *workersN != 1 {
 		fail(fmt.Errorf("-workers %d conflicts with -serial (which pins one worker)", *workersN))
-	}
-	if *workersN > 0 && *parallel > 0 && *parallel != *workersN {
-		fail(fmt.Errorf("-workers %d conflicts with -parallel %d: pick one", *workersN, *parallel))
 	}
 
 	// Validate profile destinations up front: -memprofile is only opened
@@ -124,10 +116,7 @@ func main() {
 		fail(err)
 	}
 
-	workers := *parallel
-	if *workersN > 0 {
-		workers = *workersN
-	}
+	workers := *workersN
 	if *serial {
 		workers = 1
 	}

@@ -1,6 +1,5 @@
-// maintctl is the operator CLI for the robot control API served by robotd
-// (or an embedded robotapi endpoint in selfmaintd), plus the flight-recorder
-// workflow, which needs no daemon.
+// maintctl is the operator CLI for the robot control API served by robotd,
+// plus the flight-recorder workflow, which needs no daemon.
 //
 // Daemon subcommands:
 //

@@ -109,11 +109,11 @@ func newHarness(t *testing.T, o harnessOpt) *harness {
 	if o.mutCfg != nil {
 		o.mutCfg(&cfg)
 	}
-	var robots exec.Executor = robot.NewExecutor(fleet)
+	var robots exec.Executor = fleet
 	if o.wrapRobots != nil {
 		robots = o.wrapRobots(robots)
 	}
-	var humans exec.Executor = workforce.NewExecutor(crew)
+	var humans exec.Executor = crew
 	if o.wrapHumans != nil {
 		humans = o.wrapHumans(humans)
 	}

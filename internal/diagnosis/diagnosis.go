@@ -34,7 +34,6 @@ type Diagnosis struct {
 	At       sim.Time
 	Symptom  faults.Health // down or (detected) flapping
 	End      faults.End    // which end to service first
-	EndScore float64       // confidence margin for the end choice
 	Suspects []Suspect     // ranked, weights sum to 1
 }
 
@@ -91,12 +90,9 @@ func (e *Engine) Diagnose(l *topology.Link, symptom faults.Health) Diagnosis {
 	// implicates the reading end's electronics.
 	scoreA := (faults.NominalRxDbm-a.RxDbm)/8 + a.Errors
 	scoreB := (faults.NominalRxDbm-b.RxDbm)/8 + b.Errors
+	d.End = faults.EndA
 	if scoreB > scoreA {
 		d.End = faults.EndB
-		d.EndScore = scoreB - scoreA
-	} else {
-		d.End = faults.EndA
-		d.EndScore = scoreA - scoreB
 	}
 
 	d.Suspects = e.rankCauses(l, symptom, a, b)

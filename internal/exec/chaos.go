@@ -95,7 +95,7 @@ func (x *ChaosExecutor) Execute(a Actor, t Task, done func(Outcome)) {
 		// SlowFactor× the attempt's actual duration has elapsed.
 		x.stats.SlowCompletions++
 		x.inner.Execute(a, t, func(out Outcome) {
-			extra := sim.Time(float64(out.Finished-out.Started) * (x.cfg.SlowFactor - 1))
+			extra := sim.Time(float64(out.Duration()) * (x.cfg.SlowFactor - 1))
 			if extra <= 0 {
 				done(out)
 				return

@@ -1,13 +1,14 @@
 // Package exec defines the Act stage's executor contracts: the common
 // interface through which the maintenance pipeline dispatches physical work
-// without knowing whether a robot fleet or a human crew performs it. Both
-// internal/robot and internal/workforce provide adapters satisfying
-// Executor, so the control plane in internal/core depends only on this
-// package — the decoupling the paper's §4 "software-defined maintenance"
-// agenda asks for. internal/core runs both backends through one dispatch,
-// watchdog and outcome path and tells them apart only as its robot and
-// human lanes, so a new backend (contractor pools, per-pod fleets) plugs in
-// without touching dispatch code.
+// without knowing whether a robot fleet or a human crew performs it.
+// *robot.Fleet and *workforce.Crew are Executors themselves, and their
+// units and technicians are Actors; both fill in one Outcome as the work
+// runs. The control plane in internal/core depends only on this package —
+// the decoupling the paper's §4 "software-defined maintenance" agenda asks
+// for. internal/core runs both backends through one dispatch, watchdog and
+// outcome path and tells them apart only as its robot and human lanes, so
+// a new backend (contractor pools, per-pod fleets) plugs in by
+// implementing Executor, without touching dispatch code.
 package exec
 
 import (
@@ -35,9 +36,11 @@ type Outcome struct {
 	Started  sim.Time
 	Finished sim.Time
 	// Completed reports the action was physically performed; Fixed that the
-	// repair verified successful.
+	// repair verified successful; Masked that the fix suppressed the symptom
+	// but left a cause that will recur.
 	Completed bool
 	Fixed     bool
+	Masked    bool
 	// NeedsHuman is set when a robotic executor gives up and requests human
 	// support (perception failure, verification failure, mechanical abort).
 	// Human backends leave it false: Act escalates any outcome carrying it
@@ -50,6 +53,9 @@ type Outcome struct {
 	Touched int
 	Note    string
 }
+
+// Duration is how long the attempt occupied the actor.
+func (o Outcome) Duration() sim.Time { return o.Finished - o.Started }
 
 // Actor is one worker — a robotic unit or a technician.
 type Actor interface {

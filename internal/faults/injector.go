@@ -93,9 +93,6 @@ func (inj *Injector) Stats() Stats {
 	return s
 }
 
-// Config returns the active configuration.
-func (inj *Injector) Config() Config { return inj.cfg }
-
 // --- onset machinery -----------------------------------------------------
 
 // scheduleOnset samples a fresh lifetime for (l, c) and queues the onset.

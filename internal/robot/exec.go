@@ -9,11 +9,12 @@ import (
 	"repro/internal/sim"
 )
 
-// Execute runs a task on a unit asynchronously: the unit becomes busy, the
+// Execute implements exec.Executor: the claimed unit becomes busy, the
 // primitive sequence plays out over virtual time, and done receives the
 // outcome. It panics if the unit is unavailable or cannot reach the work —
 // the scheduler must check first.
-func (f *Fleet) Execute(u *Unit, t exec.Task, done func(Outcome)) {
+func (f *Fleet) Execute(a exec.Actor, t exec.Task, done func(exec.Outcome)) {
+	u := a.(*Unit)
 	loc := t.Port().Device.Loc
 	if !u.Available() {
 		panic(fmt.Sprintf("robot: %s not available", u))
@@ -24,7 +25,7 @@ func (f *Fleet) Execute(u *Unit, t exec.Task, done func(Outcome)) {
 	u.busy = true
 	run := &taskRun{
 		f: f, u: u, t: t, done: done,
-		out: Outcome{Unit: u, Task: t, Started: f.eng.Now()},
+		out: exec.Outcome{Actor: u.name, Task: t, Started: f.eng.Now()},
 	}
 	if !CanPerform(t.Action) {
 		run.finish(false, true, "action beyond robotic capability")
@@ -41,13 +42,14 @@ type taskRun struct {
 	f   *Fleet
 	u   *Unit
 	t   exec.Task
-	out Outcome
+	out exec.Outcome
+	res faults.RepairResult // the last adjudicated repair; finish copies Fixed and Masked
 
 	inRepair bool
-	done     func(Outcome)
+	done     func(exec.Outcome)
 }
 
-// Execute wires done through a small indirection so taskRun stays testable.
+// next schedules fn after d as the named engine event.
 func (r *taskRun) next(d sim.Time, name string, fn func()) {
 	r.f.eng.After(d, name, fn)
 }
@@ -71,8 +73,7 @@ func (r *taskRun) primitiveOK() bool {
 func (r *taskRun) approach() {
 	r.next(r.dur(r.f.cfg.NavSetup)+r.dur(r.f.cfg.PartCables), "robot-approach", func() {
 		// Parting cables is a gentle touch with cascade risk.
-		r.out.Effects = append(r.out.Effects, r.f.inj.Touch(r.t.Port(), true)...)
-		r.f.CablesTouched += len(r.f.net.PortsNear(r.t.Port(), r.f.inj.Config().TouchRadiusM))
+		r.out.Touched += len(r.f.inj.Touch(r.t.Port(), true))
 		r.identify(0)
 	})
 }
@@ -119,7 +120,7 @@ func (r *taskRun) manipulate() {
 	switch r.t.Action {
 	case faults.Reseat:
 		r.next(unplug+r.dur(r.f.cfg.ReseatDwell)+r.dur(r.f.cfg.Plug), "robot-reseat", func() {
-			r.out.Effects = append(r.out.Effects, r.f.inj.Touch(r.t.Port(), true)...)
+			r.out.Touched += len(r.f.inj.Touch(r.t.Port(), true))
 			r.applyAndFinish(faults.Reseat)
 		})
 	case faults.Clean:
@@ -146,16 +147,15 @@ func (r *taskRun) cleanCycle(attempt int) {
 	}
 	r.next(pre.Duration+passes, "robot-clean", func() {
 		if r.inRepair {
-			res := r.f.inj.FinishRepair(r.t.Link, faults.Clean, r.t.End)
+			r.res = r.f.inj.FinishRepair(r.t.Link, faults.Clean, r.t.End)
 			r.inRepair = false
-			r.out.Result = res
 		}
 		// Verify: re-inspect the (possibly now clean) end.
 		st := r.f.inj.State(r.t.Link.ID)
 		post := r.f.vis.InspectEndFace(r.t.Link.Cable, st.Ends[r.t.End].Dirt)
 		r.next(post.Duration, "robot-verify", func() {
 			if post.Pass {
-				if r.out.Result.Fixed {
+				if r.res.Fixed {
 					r.reassemble()
 					return
 				}
@@ -163,7 +163,7 @@ func (r *taskRun) cleanCycle(attempt int) {
 				// the cleaning was physically completed and the fault lies
 				// elsewhere — a ladder matter, not a robot failure.
 				r.reassembleThen(func() {
-					r.finish(true, false, r.out.Result.Note)
+					r.finish(true, false, r.res.Note)
 				})
 				return
 			}
@@ -177,7 +177,7 @@ func (r *taskRun) cleanCycle(attempt int) {
 			// The robot cannot get the end-face to pass inspection: request
 			// human support (§3.3.2).
 			r.reassembleThen(func() {
-				r.finish(r.out.Result.Fixed, true, "verification failed after retries")
+				r.finish(r.res.Fixed, true, "verification failed after retries")
 			})
 		})
 	})
@@ -186,10 +186,9 @@ func (r *taskRun) cleanCycle(attempt int) {
 // applyAndFinish adjudicates the action and closes out with replug timing
 // already spent.
 func (r *taskRun) applyAndFinish(a faults.Action) {
-	res := r.f.inj.FinishRepair(r.t.Link, a, r.t.End)
+	r.res = r.f.inj.FinishRepair(r.t.Link, a, r.t.End)
 	r.inRepair = false
-	r.out.Result = res
-	r.finish(true, false, res.Note)
+	r.finish(true, false, r.res.Note)
 }
 
 // reassemble replugs after cleaning and finishes successfully.
@@ -201,7 +200,7 @@ func (r *taskRun) reassemble() {
 
 func (r *taskRun) reassembleThen(fn func()) {
 	r.next(r.dur(r.f.cfg.Plug), "robot-reassemble", func() {
-		r.out.Effects = append(r.out.Effects, r.f.inj.Touch(r.t.Port(), true)...)
+		r.out.Touched += len(r.f.inj.Touch(r.t.Port(), true))
 		fn()
 	})
 }
@@ -230,23 +229,20 @@ func (r *taskRun) finish(completed, needsHuman bool, note string) {
 		r.inRepair = false
 	}
 	r.out.Completed = completed
+	r.out.Fixed = r.res.Fixed
+	r.out.Masked = r.res.Masked
 	r.out.NeedsHuman = needsHuman
-	if note != "" {
-		r.out.Note = note
-	}
+	r.out.Note = note
 	r.out.Finished = r.f.eng.Now()
 	r.u.busy = false
 	r.u.BusyTime += r.out.Duration()
 	r.u.tasks++
 	if completed {
 		r.u.TasksDone++
-	} else {
-		r.u.TasksFailed++
 	}
 	if needsHuman {
 		r.f.HumanEscal++
 	}
-	r.f.Outcomes++
 	if r.f.cfg.BatteryTasks > 0 && r.u.tasks >= r.f.cfg.BatteryTasks && !r.u.broken {
 		r.u.tasks = 0
 		r.u.charging = true
@@ -254,10 +250,7 @@ func (r *taskRun) finish(completed, needsHuman bool, note string) {
 			r.u.charging = false
 		})
 	}
-	if r.doneFn() != nil {
-		r.doneFn()(r.out)
+	if r.done != nil {
+		r.done(r.out)
 	}
 }
-
-// doneFn is assigned by Execute; split out for clarity.
-func (r *taskRun) doneFn() func(Outcome) { return r.done }

@@ -51,7 +51,7 @@ func (s Scope) String() string {
 // Unit is one robotic unit: a manipulator arm with an integrated cleaning
 // station, deployable at a scope.
 type Unit struct {
-	Name  string
+	name  string
 	Scope Scope
 	Home  topology.Location
 	Loc   topology.Location
@@ -63,10 +63,12 @@ type Unit struct {
 	charging bool
 	tasks    int // since last charge
 
-	TasksDone   int
-	TasksFailed int
-	BusyTime    sim.Time
+	TasksDone int
+	BusyTime  sim.Time
 }
+
+// Name returns the unit's name.
+func (u *Unit) Name() string { return u.name }
 
 // Available reports whether the unit can accept a task now.
 func (u *Unit) Available() bool { return !u.busy && !u.broken && !u.charging }
@@ -82,7 +84,7 @@ func (u *Unit) String() string {
 	case u.busy:
 		state = "busy"
 	}
-	return fmt.Sprintf("%s(%s,%s)", u.Name, u.Scope, state)
+	return fmt.Sprintf("%s(%s,%s)", u.name, u.Scope, state)
 }
 
 // CanReach reports whether the unit's scope covers a location.
@@ -150,27 +152,6 @@ func DefaultConfig() Config {
 	}
 }
 
-// Outcome reports what happened.
-type Outcome struct {
-	Unit      *Unit
-	Task      exec.Task
-	Started   sim.Time
-	Finished  sim.Time
-	Completed bool // the action was physically performed
-	Result    faults.RepairResult
-	// NeedsHuman is set when the robot gives up: perception failure,
-	// repeated verification failure, mechanical abort, or an action outside
-	// robotic capability.
-	NeedsHuman bool
-	// Stockout is set when the task needs a spare the pool cannot supply.
-	Stockout bool
-	Effects  []faults.CascadeEffect
-	Note     string
-}
-
-// Duration is the wall-clock the task occupied the unit.
-func (o Outcome) Duration() sim.Time { return o.Finished - o.Started }
-
 // CanPerform reports whether the robot fleet can execute an action at all.
 func CanPerform(a faults.Action) bool {
 	switch a {
@@ -182,7 +163,8 @@ func CanPerform(a faults.Action) bool {
 }
 
 // Fleet owns the robotic units and executes tasks against the physical
-// world (fault injector), perception (vision) and spares (inventory).
+// world (fault injector), perception (vision) and spares (inventory). It is
+// the robot lane's exec.Executor, and its units are the exec.Actors.
 type Fleet struct {
 	eng  *sim.Engine
 	net  *topology.Network
@@ -194,11 +176,16 @@ type Fleet struct {
 	units []*Unit
 
 	// Stats
-	Outcomes      int
-	HumanEscal    int
-	BrokenEvents  int
-	CablesTouched int
+	HumanEscal   int
+	BrokenEvents int
 }
+
+// Act finds the duration estimate by type assertion; this keeps the
+// compiler checking it.
+var _ interface {
+	exec.Executor
+	exec.DurationEstimator
+} = (*Fleet)(nil)
 
 // NewFleet creates an empty fleet.
 func NewFleet(eng *sim.Engine, net *topology.Network, inj *faults.Injector, vis *vision.System, pool *inventory.Pool, cfg Config) *Fleet {
@@ -207,7 +194,7 @@ func NewFleet(eng *sim.Engine, net *topology.Network, inj *faults.Injector, vis 
 
 // AddUnit deploys a unit at home with the given scope.
 func (f *Fleet) AddUnit(name string, scope Scope, home topology.Location) *Unit {
-	u := &Unit{Name: name, Scope: scope, Home: home, Loc: home, SpeedMps: 0.5}
+	u := &Unit{name: name, Scope: scope, Home: home, Loc: home, SpeedMps: 0.5}
 	f.units = append(f.units, u)
 	return u
 }
@@ -264,14 +251,18 @@ func (f *Fleet) RemoveUnit(u *Unit) bool {
 	return false
 }
 
-// FindUnit returns an available unit that can reach the location, or nil.
-func (f *Fleet) FindUnit(loc topology.Location) *Unit {
+// CanPerform implements exec.Executor with the package-level CanPerform.
+func (f *Fleet) CanPerform(a faults.Action) bool { return CanPerform(a) }
+
+// Claim implements exec.Executor: the first available unit, in deployment
+// order, that can reach the location, or nil. Claiming does not reserve.
+func (f *Fleet) Claim(loc topology.Location) exec.Actor {
 	for _, u := range f.units {
 		if u.Available() && u.CanReach(loc) {
 			return u
 		}
 	}
-	return nil
+	return nil // untyped nil: a nil *Unit inside exec.Actor would be non-nil
 }
 
 // TravelTime returns how long the unit needs to reach a location.
@@ -283,10 +274,10 @@ func (f *Fleet) TravelTime(u *Unit, loc topology.Location) sim.Time {
 	return sim.Time(d / u.SpeedMps * float64(sim.Second))
 }
 
-// EstimateDuration predicts a task's duration for scheduling, using
-// distribution means.
-func (f *Fleet) EstimateDuration(u *Unit, t exec.Task) sim.Time {
-	d := f.TravelTime(u, t.Port().Device.Loc)
+// EstimateDuration implements exec.DurationEstimator: the task's duration
+// on the claimed unit from distribution means plus travel, never sampled.
+func (f *Fleet) EstimateDuration(a exec.Actor, t exec.Task) sim.Time {
+	d := f.TravelTime(a.(*Unit), t.Port().Device.Loc)
 	d += sim.MeanDuration(f.cfg.NavSetup) + sim.MeanDuration(f.cfg.PartCables) +
 		sim.MeanDuration(f.cfg.Identify) + sim.MeanDuration(f.cfg.Unplug) +
 		sim.MeanDuration(f.cfg.Plug)

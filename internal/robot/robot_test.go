@@ -58,10 +58,10 @@ func (w *world) hallUnit() *Unit {
 }
 
 // runTask executes a task and returns the outcome once the engine settles.
-func (w *world) runTask(t *testing.T, u *Unit, task exec.Task) Outcome {
+func (w *world) runTask(t *testing.T, u *Unit, task exec.Task) exec.Outcome {
 	t.Helper()
-	var out *Outcome
-	w.fleet.Execute(u, task, func(o Outcome) { out = &o })
+	var out *exec.Outcome
+	w.fleet.Execute(u, task, func(o exec.Outcome) { out = &o })
 	w.eng.RunUntil(w.eng.Now() + 12*sim.Hour)
 	if out == nil {
 		t.Fatal("task never completed")
@@ -79,7 +79,7 @@ func TestReseatFixesOxidation(t *testing.T) {
 	st := w.inj.State(l.ID)
 	u := w.hallUnit()
 	out := w.runTask(t, u, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
-	if !out.Completed || !out.Result.Fixed {
+	if !out.Completed || !out.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
 	if w.inj.Observable(l.ID) != faults.Healthy {
@@ -107,7 +107,7 @@ func TestCleanCycleFixesContamination(t *testing.T) {
 	w.inj.InduceFault(l, faults.Contamination)
 	st := w.inj.State(l.ID)
 	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
-	if !out.Completed || !out.Result.Fixed || out.NeedsHuman {
+	if !out.Completed || !out.Fixed || out.NeedsHuman {
 		t.Fatalf("outcome: %+v note=%s", out, out.Note)
 	}
 	if w.inj.State(l.ID).Ends[st.CauseEnd].Dirt != 0 {
@@ -128,7 +128,7 @@ func TestReplaceXcvrConsumesSpare(t *testing.T) {
 	st := w.inj.State(l.ID)
 	before := w.pool.Stock(inventory.PartXcvr)
 	out := w.runTask(t, w.hallUnit(), exec.Task{Link: l, End: st.CauseEnd, Action: faults.ReplaceXcvr})
-	if !out.Completed || !out.Result.Fixed {
+	if !out.Completed || !out.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
 	if w.pool.Stock(inventory.PartXcvr) != before-1 {
@@ -303,7 +303,7 @@ func TestCleanVerifyRetryThenHuman(t *testing.T) {
 	}
 }
 
-func TestDeployPerRowAndFindUnit(t *testing.T) {
+func TestDeployPerRowAndClaim(t *testing.T) {
 	w := newWorld(t, 12, nil)
 	units := w.fleet.DeployPerRow()
 	rows := map[int]bool{}
@@ -314,14 +314,14 @@ func TestDeployPerRowAndFindUnit(t *testing.T) {
 		t.Fatalf("deployed %d units for %d equipment rows", len(units), len(rows))
 	}
 	l := w.sepLink(t)
-	u := w.fleet.FindUnit(l.A.Device.Loc)
-	if u == nil {
-		t.Fatal("no unit found for a covered row")
+	a := w.fleet.Claim(l.A.Device.Loc)
+	if a == nil {
+		t.Fatal("no unit claimed for a covered row")
 	}
-	if !u.CanReach(l.A.Device.Loc) {
-		t.Fatal("found unit cannot reach")
+	if !a.(*Unit).CanReach(l.A.Device.Loc) {
+		t.Fatal("claimed unit cannot reach")
 	}
-	if w.fleet.FindUnit(topology.Location{Row: 999}) != nil {
+	if w.fleet.Claim(topology.Location{Row: 999}) != nil {
 		t.Fatal("found unit for uncovered row")
 	}
 	if len(w.fleet.Units()) != len(units) {
@@ -341,7 +341,7 @@ func TestEstimateDurationOrdering(t *testing.T) {
 }
 
 func TestUnitAndScopeStrings(t *testing.T) {
-	u := &Unit{Name: "r1", Scope: RowScope}
+	u := &Unit{name: "r1", Scope: RowScope}
 	if u.String() == "" {
 		t.Error("unit string")
 	}

@@ -1,13 +1,15 @@
 // Package robotapi is the service API the paper calls for (§2): an
 // interface that "masks the complexity but enables complex control" of the
-// maintenance robots. Higher layers — and external operators via TCP — can
-// discover capabilities, ask for a manipulation plan that pre-reports which
-// cables will be contacted (§2), execute repair tasks, and read fleet
-// health, without ever touching robot internals.
+// maintenance robots. Clients discover capabilities, ask for a manipulation
+// plan that pre-reports which cables will be contacted (§2), execute repair
+// tasks, inject faults, and read link health and the topology, without
+// ever touching robot internals.
 //
-// The same Service type serves two deployments: in-process (the controller
-// calls it directly) and over TCP via Server/Client in transport.go (the
-// robotd daemon and the maintctl CLI).
+// Service drives the fleet through the exec.Executor contract the Act stage
+// also uses; the controller dispatches to the fleet directly, not through
+// Service. Serve exposes a Service over TCP and Client calls it
+// (transport.go), as the robotd daemon, the maintctl CLI and
+// examples/liveapi do.
 package robotapi
 
 import (
@@ -100,13 +102,13 @@ func (s *Service) Capabilities() Capabilities {
 	var c Capabilities
 	for _, u := range s.fleet.Units() {
 		c.Units = append(c.Units, UnitInfo{
-			Name: u.Name, Scope: u.Scope.String(),
+			Name: u.Name(), Scope: u.Scope.String(),
 			Row: u.Home.Row, Rack: u.Home.Rack,
 			Available: u.Available(),
 		})
 	}
 	for _, a := range faults.AllActions {
-		if robot.CanPerform(a) {
+		if s.fleet.CanPerform(a) {
 			c.Actions = append(c.Actions, a.String())
 		}
 	}
@@ -122,24 +124,23 @@ func (s *Service) Plan(spec TaskSpec) (Plan, error) {
 		return Plan{}, err
 	}
 	var p Plan
-	if !robot.CanPerform(task.Action) {
+	if !s.fleet.CanPerform(task.Action) {
 		p.Reason = fmt.Sprintf("action %v requires a technician", task.Action)
 		return p, nil
 	}
-	loc := task.Port().Device.Loc
-	u := s.fleet.FindUnit(loc)
-	if u == nil {
+	a := s.fleet.Claim(task.Port().Device.Loc)
+	if a == nil {
 		p.Reason = "no available unit can reach the target"
 		return p, nil
 	}
 	p.Feasible = true
-	p.Unit = u.Name
+	p.Unit = a.Name()
 	for _, l := range s.inj.DisturbedBy(task.Port()) {
 		p.CablesAtRisk = append(p.CablesAtRisk, int(l.ID))
 		p.RiskNames = append(p.RiskNames, l.Name())
 	}
 	p.TrayMates = len(s.net.LinksSharingTray(task.Link))
-	p.EstSeconds = s.fleet.EstimateDuration(u, task).Duration().Seconds()
+	p.EstSeconds = s.fleet.EstimateDuration(a, task).Duration().Seconds()
 	return p, nil
 }
 
@@ -152,15 +153,15 @@ func (s *Service) Execute(spec TaskSpec) (ExecuteResult, error) {
 	if err != nil {
 		return ExecuteResult{}, err
 	}
-	if !robot.CanPerform(task.Action) {
+	if !s.fleet.CanPerform(task.Action) {
 		return ExecuteResult{NeedsHuman: true, Note: "action requires a technician"}, nil
 	}
-	u := s.fleet.FindUnit(task.Port().Device.Loc)
-	if u == nil {
+	a := s.fleet.Claim(task.Port().Device.Loc)
+	if a == nil {
 		return ExecuteResult{}, fmt.Errorf("robotapi: no available unit for %s", task.Port().Name())
 	}
-	var out *robot.Outcome
-	s.fleet.Execute(u, task, func(o robot.Outcome) { out = &o })
+	var out *exec.Outcome
+	s.fleet.Execute(a, task, func(o exec.Outcome) { out = &o })
 	// Drive the world until the task resolves.
 	for out == nil && s.eng.Step() {
 	}
@@ -171,11 +172,11 @@ func (s *Service) Execute(spec TaskSpec) (ExecuteResult, error) {
 		Completed:  out.Completed,
 		NeedsHuman: out.NeedsHuman,
 		Stockout:   out.Stockout,
-		Fixed:      out.Result.Fixed,
-		Masked:     out.Result.Masked,
+		Fixed:      out.Fixed,
+		Masked:     out.Masked,
 		Note:       out.Note,
 		Seconds:    out.Duration().Duration().Seconds(),
-		Cascades:   len(out.Effects),
+		Cascades:   out.Touched,
 		LinkHealth: s.inj.Observable(task.Link.ID).String(),
 	}, nil
 }

@@ -15,7 +15,7 @@ import (
 	"repro/internal/vision"
 )
 
-func newService(t *testing.T, seed uint64) (*Service, *topology.Network, *faults.Injector) {
+func newService(t *testing.T, seed uint64, mutate func(*faults.Config)) (*Service, *topology.Network, *faults.Injector) {
 	t.Helper()
 	n, err := topology.NewLeafSpine(topology.LeafSpineConfig{
 		Leaves: 4, Spines: 2, HostsPerLeaf: 4, Uplinks: 1,
@@ -28,6 +28,9 @@ func newService(t *testing.T, seed uint64) (*Service, *topology.Network, *faults
 	fcfg := faults.DefaultConfig()
 	fcfg.AnnualRate = map[faults.Cause]float64{}
 	fcfg.FixProb[faults.Reseat][faults.Oxidation] = 1
+	if mutate != nil {
+		mutate(&fcfg)
+	}
 	inj := faults.NewInjector(eng, n, fcfg)
 	vis := vision.New(eng, vision.DefaultConfig(), 8)
 	pool := inventory.NewPool(eng, inventory.DefaultStock(n), 2*sim.Day)
@@ -50,7 +53,7 @@ func sepLinkID(t *testing.T, n *topology.Network) int {
 }
 
 func TestCapabilities(t *testing.T) {
-	svc, _, _ := newService(t, 1)
+	svc, _, _ := newService(t, 1, nil)
 	c := svc.Capabilities()
 	if len(c.Units) == 0 {
 		t.Fatal("no units")
@@ -66,7 +69,7 @@ func TestCapabilities(t *testing.T) {
 }
 
 func TestPlanPreReportsContactedCables(t *testing.T) {
-	svc, n, _ := newService(t, 2)
+	svc, n, _ := newService(t, 2, nil)
 	id := sepLinkID(t, n)
 	p, err := svc.Plan(TaskSpec{Link: id, End: "A", Action: "reseat"})
 	if err != nil {
@@ -90,7 +93,7 @@ func TestPlanPreReportsContactedCables(t *testing.T) {
 }
 
 func TestPlanInfeasibleForHumanActions(t *testing.T) {
-	svc, n, _ := newService(t, 3)
+	svc, n, _ := newService(t, 3, nil)
 	id := sepLinkID(t, n)
 	p, err := svc.Plan(TaskSpec{Link: id, End: "A", Action: "replace-cable"})
 	if err != nil {
@@ -105,7 +108,7 @@ func TestPlanInfeasibleForHumanActions(t *testing.T) {
 }
 
 func TestExecuteRepairsFault(t *testing.T) {
-	svc, n, inj := newService(t, 4)
+	svc, n, inj := newService(t, 4, nil)
 	id := sepLinkID(t, n)
 	if err := svc.Inject(id, "oxidation"); err != nil {
 		t.Fatal(err)
@@ -126,8 +129,27 @@ func TestExecuteRepairsFault(t *testing.T) {
 	}
 }
 
+// TestExecuteReportsMaskedReseat pins the masked-fix report: a reseat at the
+// cause end of a contaminated link that only masks the dirt comes back
+// Fixed and Masked, so the caller can tell the fault will recur.
+func TestExecuteReportsMaskedReseat(t *testing.T) {
+	svc, n, inj := newService(t, 10, func(fc *faults.Config) { fc.ReseatMaskProb = 1 })
+	id := sepLinkID(t, n)
+	if err := svc.Inject(id, "contamination"); err != nil {
+		t.Fatal(err)
+	}
+	st := inj.State(topology.LinkID(id))
+	res, err := svc.Execute(TaskSpec{Link: id, End: st.CauseEnd.String(), Action: "reseat"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || !res.Fixed || !res.Masked {
+		t.Fatalf("result: %+v", res)
+	}
+}
+
 func TestInjectValidation(t *testing.T) {
-	svc, n, _ := newService(t, 5)
+	svc, n, _ := newService(t, 5, nil)
 	if err := svc.Inject(-1, "oxidation"); err == nil {
 		t.Fatal("negative link accepted")
 	}
@@ -144,7 +166,7 @@ func TestInjectValidation(t *testing.T) {
 }
 
 func TestHealthReport(t *testing.T) {
-	svc, n, _ := newService(t, 6)
+	svc, n, _ := newService(t, 6, nil)
 	rep := svc.Health()
 	if rep.Links != len(n.Links) {
 		t.Fatal("link count")
@@ -178,7 +200,7 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := ParseCause("bad"); err == nil {
 		t.Fatal("bad cause accepted")
 	}
-	svc, _, _ := newService(t, 7)
+	svc, _, _ := newService(t, 7, nil)
 	if _, err := svc.Plan(TaskSpec{Link: 10_000, End: "A", Action: "reseat"}); err == nil {
 		t.Fatal("out of range link accepted")
 	}
@@ -188,7 +210,7 @@ func TestParseHelpers(t *testing.T) {
 }
 
 func TestOverTCPEndToEnd(t *testing.T) {
-	svc, n, inj := newService(t, 8)
+	svc, n, inj := newService(t, 8, nil)
 	srv, err := Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +258,7 @@ func TestOverTCPEndToEnd(t *testing.T) {
 }
 
 func TestTopologyOverTCP(t *testing.T) {
-	svc, n, _ := newService(t, 9)
+	svc, n, _ := newService(t, 9, nil)
 	srv, err := Serve("127.0.0.1:0", svc)
 	if err != nil {
 		t.Fatal(err)

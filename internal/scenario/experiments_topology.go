@@ -246,64 +246,87 @@ func T6RobotTimings(r *Runner, reps int, seed uint64) (*metrics.Table, error) {
 	return res[0], nil
 }
 
+// robotBench is the rig T6 and T8 time robot tasks on: a controller-less
+// small hall with one hall-scope "bench" unit, whose primitives never fail
+// and which never stops to charge, and the first separable switch link.
+type robotBench struct {
+	w    *World
+	unit *robot.Unit
+	link *topology.Link
+}
+
+// newRobotBench builds the rig with o's seed, crew, diversity and faults.
+func newRobotBench(o Options) (*robotBench, error) {
+	o.BuildNet, o.Level, o.NoController = SmallHall, core.L3, true
+	o.MutateRobot = func(rc *robot.Config) {
+		rc.PrimitiveFailProb = 0
+		rc.BatteryTasks = 0 // no charging pauses during the micro-bench
+	}
+	w, err := Build(o)
+	if err != nil {
+		return nil, err
+	}
+	unit := w.Fleet.AddUnit("bench", robot.HallScope, topology.Location{})
+	for _, l := range w.Net.SwitchLinks() {
+		if l.HasSeparableFiber() {
+			return &robotBench{w: w, unit: unit, link: l}, nil
+		}
+	}
+	return nil, fmt.Errorf("scenario: no separable link")
+}
+
+// runTask induces cause on the bench link, has the bench unit run action
+// at the cause end, and returns the outcome two virtual hours later.
+func (b *robotBench) runTask(cause faults.Cause, action faults.Action) (exec.Outcome, error) {
+	b.w.Inj.InduceFault(b.link, cause)
+	st := b.w.Inj.State(b.link.ID)
+	var out *exec.Outcome
+	b.w.Fleet.Execute(b.unit, exec.Task{Link: b.link, End: st.CauseEnd, Action: action},
+		func(o exec.Outcome) { out = &o })
+	b.w.Eng.RunUntil(b.w.Eng.Now() + 2*sim.Hour)
+	if out == nil {
+		return exec.Outcome{}, fmt.Errorf("scenario: %v task never finished", action)
+	}
+	return *out, nil
+}
+
 func t6RobotTimings(reps int, seed uint64) (*metrics.Table, error) {
 	if reps <= 0 {
 		reps = 200
 	}
-	w, err := Build(Options{
-		Seed: seed, BuildNet: SmallHall, Level: core.L3, Techs: 1, Robots: false,
-		NoController: true,
+	b, err := newRobotBench(Options{
+		Seed: seed, Techs: 1,
 		MutateFaults: func(fc *faults.Config) {
 			fc.AnnualRate = map[faults.Cause]float64{}
 			fc.FixProb[faults.Reseat][faults.Oxidation] = 1
 			fc.FixProb[faults.Clean][faults.Contamination] = 1
 			fc.CleanRecontaminate = 0
 		},
-		MutateRobot: func(rc *robot.Config) {
-			rc.PrimitiveFailProb = 0
-			rc.BatteryTasks = 0 // no charging pauses during the micro-bench
-		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	unit := w.Fleet.AddUnit("bench", robot.HallScope, topology.Location{})
-	var link *topology.Link
-	for _, l := range w.Net.SwitchLinks() {
-		if l.HasSeparableFiber() {
-			link = l
-			break
-		}
-	}
-	if link == nil {
-		return nil, fmt.Errorf("scenario: no separable link")
-	}
 
-	vis := vision.New(w.Eng, vision.DefaultConfig(), 8)
+	vis := vision.New(b.w.Eng, vision.DefaultConfig(), 8)
 	var inspect metrics.Histogram
 	for i := 0; i < reps; i++ {
-		inspect.Add(vis.InspectEndFace(link.Cable, 0.2).Duration.Duration().Seconds())
+		inspect.Add(vis.InspectEndFace(b.link.Cable, 0.2).Duration.Duration().Seconds())
 	}
 
 	measure := func(cause faults.Cause, action faults.Action) (*metrics.Histogram, error) {
 		var h metrics.Histogram
 		for i := 0; i < reps; i++ {
-			w.Inj.InduceFault(link, cause)
-			st := w.Inj.State(link.ID)
-			var out *robot.Outcome
-			w.Fleet.Execute(unit, exec.Task{Link: link, End: st.CauseEnd, Action: action},
-				func(o robot.Outcome) { out = &o })
-			w.Eng.RunUntil(w.Eng.Now() + 2*sim.Hour)
-			if out == nil {
-				return nil, fmt.Errorf("scenario: %v task never finished", action)
+			out, err := b.runTask(cause, action)
+			if err != nil {
+				return nil, err
 			}
-			if out.Completed && out.Result.Fixed {
+			if out.Completed && out.Fixed {
 				h.Add(out.Duration().Duration().Seconds())
 			} else {
 				// Clear any remaining fault so the next rep starts clean.
-				w.Inj.ClearFault(link)
+				b.w.Inj.ClearFault(b.link)
 			}
-			unit.Loc = unit.Home // re-park between reps
+			b.unit.Loc = b.unit.Home // re-park between reps
 		}
 		return &h, nil
 	}
@@ -532,47 +555,28 @@ func T8Diversity(r *Runner, tasks int, seed uint64) (*metrics.Table, error) {
 			Key: fmt.Sprintf("T8/div=%d/seed=%d", div, seed),
 			Run: func() (t8, error) {
 				var c t8
-				w, err := Build(Options{
-					Seed: seed, BuildNet: SmallHall, Level: core.L3, Techs: 0,
-					NoController:   true,
-					FleetDiversity: div,
+				b, err := newRobotBench(Options{
+					Seed: seed, FleetDiversity: div,
 					MutateFaults: func(fc *faults.Config) {
 						fc.AnnualRate = map[faults.Cause]float64{}
 						fc.FixProb[faults.Reseat][faults.Oxidation] = 1
-					},
-					MutateRobot: func(rc *robot.Config) {
-						rc.PrimitiveFailProb = 0
-						rc.BatteryTasks = 0
 					},
 				})
 				if err != nil {
 					return c, err
 				}
-				unit := w.Fleet.AddUnit("bench", robot.HallScope, topology.Location{})
-				var link *topology.Link
-				for _, l := range w.Net.SwitchLinks() {
-					if l.HasSeparableFiber() {
-						link = l
-						break
-					}
-				}
 				for i := 0; i < tasks; i++ {
-					w.Inj.InduceFault(link, faults.Oxidation)
-					st := w.Inj.State(link.ID)
-					var out *robot.Outcome
-					w.Fleet.Execute(unit, exec.Task{Link: link, End: st.CauseEnd, Action: faults.Reseat},
-						func(o robot.Outcome) { out = &o })
-					w.Eng.RunUntil(w.Eng.Now() + 2*sim.Hour)
-					if out == nil {
-						return c, fmt.Errorf("scenario: task hung")
+					out, err := b.runTask(faults.Oxidation, faults.Reseat)
+					if err != nil {
+						return c, err
 					}
-					if out.Completed && out.Result.Fixed {
+					if out.Completed && out.Fixed {
 						c.completed++
 					} else {
 						if out.NeedsHuman {
 							c.escalated++
 						}
-						w.Inj.ClearFault(link)
+						b.w.Inj.ClearFault(b.link)
 					}
 				}
 				return c, nil

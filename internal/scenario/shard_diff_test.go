@@ -103,8 +103,8 @@ func TestFleetRegionAdapterLendReceive(t *testing.T) {
 		t.Fatalf("receive left %d units, want %d", got, before)
 	}
 	last := w.Fleet.Units()[before-1]
-	if last.Name != "xfer-0-to-1-n1" {
-		t.Fatalf("received unit named %q", last.Name)
+	if last.Name() != "xfer-0-to-1-n1" {
+		t.Fatalf("received unit named %q", last.Name())
 	}
 	if fr.Received != 1 {
 		t.Fatalf("Received = %d, want 1", fr.Received)

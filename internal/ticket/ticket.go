@@ -106,7 +106,6 @@ type Ticket struct {
 	Status   Status
 
 	CreatedAt  sim.Time
-	AssignedAt sim.Time
 	StartedAt  sim.Time
 	ResolvedAt sim.Time
 
@@ -230,7 +229,6 @@ func (t *Ticket) resolvedStage() int {
 func (s *Store) Assign(t *Ticket, actor string) {
 	t.Status = Assigned
 	t.Assignee = actor
-	t.AssignedAt = s.eng.Now()
 }
 
 // Start marks physical work underway.

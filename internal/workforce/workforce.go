@@ -15,32 +15,16 @@ import (
 	"repro/internal/topology"
 )
 
-// Outcome reports what a technician accomplished.
-type Outcome struct {
-	Tech      *Technician
-	Task      exec.Task
-	Started   sim.Time
-	Finished  sim.Time
-	Completed bool
-	Result    faults.RepairResult
-	WrongEnd  bool // the technician serviced the opposite end by mistake
-	Stockout  bool
-	Effects   []faults.CascadeEffect
-}
-
-// Duration is the wall-clock the task took.
-func (o Outcome) Duration() sim.Time { return o.Finished - o.Started }
-
 // Technician is one human worker.
 type Technician struct {
-	Name string
+	name string
 	Loc  topology.Location
 
 	busy bool
-
-	TasksDone sim.Time // total busy time
-	Count     int
 }
+
+// Name returns the technician's name.
+func (t *Technician) Name() string { return t.name }
 
 // Available reports whether the technician can take a task now (shift
 // status is the crew's concern).
@@ -49,9 +33,9 @@ func (t *Technician) Available() bool { return !t.busy }
 // String returns the technician's name and state.
 func (t *Technician) String() string {
 	if t.busy {
-		return t.Name + "(busy)"
+		return t.name + "(busy)"
 	}
-	return t.Name + "(idle)"
+	return t.name + "(idle)"
 }
 
 // Config calibrates the human baseline. Durations are seconds unless noted.
@@ -99,7 +83,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// Crew is the technician pool for one hall.
+// Crew is the technician pool for one hall. It is the human lane's
+// exec.Executor, and its technicians are the exec.Actors. Through exec's
+// optional capability interfaces it also exposes shift hours, per-row
+// hands-on occupancy for the safety interlock, and Level-1 robot operators.
 type Crew struct {
 	eng  *sim.Engine
 	net  *topology.Network
@@ -113,16 +100,25 @@ type Crew struct {
 	// human-robot safety interlock (§3.4).
 	activeRows map[int]int
 
-	Outcomes  int
 	WrongEnds int
 }
+
+// Act finds the capabilities by type assertion, so a renamed method would
+// silently drop one; this keeps the compiler checking them.
+var _ interface {
+	exec.Executor
+	exec.DurationEstimator
+	exec.Shifted
+	exec.RowOccupancy
+	exec.OperatorSource
+} = (*Crew)(nil)
 
 // NewCrew creates a crew with n technicians based at the hall entrance.
 func NewCrew(eng *sim.Engine, net *topology.Network, inj *faults.Injector, pool *inventory.Pool, cfg Config, n int) *Crew {
 	c := &Crew{eng: eng, net: net, inj: inj, pool: pool, cfg: cfg,
 		activeRows: make(map[int]int)}
 	for i := 0; i < n; i++ {
-		c.techs = append(c.techs, &Technician{Name: fmt.Sprintf("tech-%d", i)})
+		c.techs = append(c.techs, &Technician{name: fmt.Sprintf("tech-%d", i)})
 	}
 	return c
 }
@@ -138,7 +134,40 @@ func (c *Crew) FindTech() *Technician {
 	return nil
 }
 
-// OnShift reports whether the given instant falls in shift hours.
+// CanPerform implements exec.Executor: technicians perform every action on
+// the ladder, including the cable and switch work robots cannot do.
+func (c *Crew) CanPerform(faults.Action) bool { return true }
+
+// Claim implements exec.Executor: an idle technician, or nil. Technicians
+// dispatch anywhere in the hall, so the location is not consulted.
+func (c *Crew) Claim(topology.Location) exec.Actor {
+	if t := c.FindTech(); t != nil {
+		return t
+	}
+	return nil // untyped nil: a nil *Technician inside exec.Actor would be non-nil
+}
+
+// ClaimOperator implements exec.OperatorSource: reserve an idle technician
+// to operate a Level-1 robotic unit.
+func (c *Crew) ClaimOperator() (exec.Operator, bool) {
+	t := c.FindTech()
+	if t == nil {
+		return nil, false
+	}
+	t.Reserve()
+	return techOperator{crew: c, t: t}, true
+}
+
+// techOperator is a reserved technician operating a robot.
+type techOperator struct {
+	crew *Crew
+	t    *Technician
+}
+
+func (o techOperator) ArrivalDelay(at sim.Time) sim.Time { return o.crew.DispatchDelay(at) }
+func (o techOperator) Release()                          { o.t.Release() }
+
+// OnShift implements exec.Shifted: whether the instant falls in shift hours.
 func (c *Crew) OnShift(at sim.Time) bool {
 	h := int(at.Hours()) % 24
 	return h >= c.cfg.ShiftStartH && h < c.cfg.ShiftEndH
@@ -155,16 +184,17 @@ func (c *Crew) DispatchDelay(at sim.Time) sim.Time {
 	return sim.Time(hours * float64(sim.Hour))
 }
 
-// EstimateExecDuration bounds the nominal end-to-end latency of one Execute
-// call, for watchdog arming: mean dispatch overhead plus the mean on-call
-// surcharge (the estimate must cover off-shift dispatches too), a walk
-// margin across the hall, and the action's mean hands-on time. Unlike
-// DispatchDelay it never samples — estimates feed sim-time deadlines, and a
-// noisy estimate would perturb runs that never time out.
-func (c *Crew) EstimateExecDuration(a faults.Action) sim.Time {
+// EstimateDuration implements exec.DurationEstimator: the nominal
+// end-to-end latency of one Execute call, whoever the technician: mean
+// dispatch overhead plus the mean on-call surcharge (the estimate must
+// cover off-shift dispatches too), a walk margin across the hall, and the
+// action's mean hands-on time. Unlike DispatchDelay it never samples —
+// estimates feed sim-time deadlines, and a noisy estimate would perturb
+// runs that never time out.
+func (c *Crew) EstimateDuration(_ exec.Actor, t exec.Task) sim.Time {
 	d := sim.MeanDuration(c.cfg.DispatchOverhead)*3600 + sim.MeanDuration(c.cfg.OnCallDelay)*3600
 	d += 30 * sim.Minute
-	d += sim.MeanDuration(actionDist(c.cfg, a))
+	d += sim.MeanDuration(actionDist(c.cfg, t.Action))
 	return d
 }
 
@@ -184,14 +214,16 @@ func actionDist(cfg Config, a faults.Action) sim.Dist {
 	}
 }
 
-// Execute dispatches a technician on a task asynchronously; done receives
-// the outcome. It panics if the technician is busy.
-func (c *Crew) Execute(tech *Technician, task exec.Task, done func(Outcome)) {
+// Execute implements exec.Executor: it dispatches the claimed technician on
+// a task asynchronously, and done receives the outcome. It panics if the
+// technician is busy.
+func (c *Crew) Execute(a exec.Actor, task exec.Task, done func(exec.Outcome)) {
+	tech := a.(*Technician)
 	if !tech.Available() {
 		panic(fmt.Sprintf("workforce: %s busy", tech))
 	}
 	tech.busy = true
-	out := Outcome{Tech: tech, Task: task, Started: c.eng.Now()}
+	out := exec.Outcome{Actor: tech.name, Task: task, Started: c.eng.Now()}
 	// Parts are drawn from the depot before dispatch; a stockout is known
 	// immediately, not after hours of travel.
 	if c.pool != nil {
@@ -213,22 +245,22 @@ func (c *Crew) Execute(tech *Technician, task exec.Task, done func(Outcome)) {
 	})
 }
 
-// TechniciansInRow reports how many technicians are hands-on in a row right
-// now. Robots consult it before moving: humans and robots do not share a
-// row (§3.4, "safety is a major concern when humans and robots co-exist").
-func (c *Crew) TechniciansInRow(row int) int { return c.activeRows[row] }
+// BusyInRow implements exec.RowOccupancy: how many technicians are hands-on
+// in a row right now. Robots consult it before moving: humans and robots do
+// not share a row (§3.4, "safety is a major concern when humans and robots
+// co-exist").
+func (c *Crew) BusyInRow(row int) int { return c.activeRows[row] }
 
 // handsOn performs the physical action.
-func (c *Crew) handsOn(tech *Technician, task exec.Task, out Outcome, done func(Outcome)) {
+func (c *Crew) handsOn(tech *Technician, task exec.Task, out exec.Outcome, done func(exec.Outcome)) {
 	rng := c.rng()
 	end := task.End
 	if rng.Bernoulli(c.cfg.WrongEndProb) {
 		end = end.Opposite()
-		out.WrongEnd = true
 		c.WrongEnds++
 	}
 	// Reaching in disturbs neighbours at full (rough) intensity.
-	out.Effects = append(out.Effects, c.inj.Touch(task.Port(), false)...)
+	out.Touched += len(c.inj.Touch(task.Port(), false))
 	c.inj.BeginRepair(task.Link)
 	row := task.Port().Device.Loc.Row
 	c.activeRows[row]++
@@ -237,23 +269,20 @@ func (c *Crew) handsOn(tech *Technician, task exec.Task, out Outcome, done func(
 		c.activeRows[row]--
 		if task.Action == faults.ReplaceCable {
 			// Pulling a new cable through the trays disturbs tray-mates.
-			out.Effects = append(out.Effects, c.inj.TouchTray(task.Link, false)...)
+			out.Touched += len(c.inj.TouchTray(task.Link, false))
 		}
 		res := c.inj.FinishRepair(task.Link, task.Action, end)
-		out.Result = res
 		out.Completed = true
+		out.Fixed, out.Masked, out.Note = res.Fixed, res.Masked, res.Note
 		// Withdrawal touch.
-		out.Effects = append(out.Effects, c.inj.Touch(task.Port(), false)...)
+		out.Touched += len(c.inj.Touch(task.Port(), false))
 		c.finish(tech, out, done)
 	})
 }
 
-func (c *Crew) finish(tech *Technician, out Outcome, done func(Outcome)) {
+func (c *Crew) finish(tech *Technician, out exec.Outcome, done func(exec.Outcome)) {
 	out.Finished = c.eng.Now()
 	tech.busy = false
-	tech.Count++
-	tech.TasksDone += out.Duration()
-	c.Outcomes++
 	if done != nil {
 		done(out)
 	}
@@ -278,7 +307,7 @@ func partFor(a faults.Action) (inventory.PartKind, bool) {
 // or supervising a Level-1 robotic device (§2.1). Release with Release.
 func (t *Technician) Reserve() {
 	if t.busy {
-		panic(fmt.Sprintf("workforce: reserve busy technician %s", t.Name))
+		panic(fmt.Sprintf("workforce: reserve busy technician %s", t.name))
 	}
 	t.busy = true
 }

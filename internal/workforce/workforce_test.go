@@ -51,14 +51,14 @@ func (w *world) sepLink(t *testing.T) *topology.Link {
 	return nil
 }
 
-func (w *world) run(t *testing.T, task exec.Task) Outcome {
+func (w *world) run(t *testing.T, task exec.Task) exec.Outcome {
 	t.Helper()
-	tech := w.crew.FindTech()
+	tech := w.crew.Claim(task.Port().Device.Loc)
 	if tech == nil {
 		t.Fatal("no tech")
 	}
-	var out *Outcome
-	w.crew.Execute(tech, task, func(o Outcome) { out = &o })
+	var out *exec.Outcome
+	w.crew.Execute(tech, task, func(o exec.Outcome) { out = &o })
 	w.eng.RunUntil(w.eng.Now() + 3*sim.Day)
 	if out == nil {
 		t.Fatal("task never finished")
@@ -77,7 +77,7 @@ func TestHumanRepairTakesHours(t *testing.T) {
 	// Start mid-shift (hour 10).
 	w.eng.RunUntil(10 * sim.Hour)
 	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
-	if !out.Completed || !out.Result.Fixed {
+	if !out.Completed || !out.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
 	// Dominated by dispatch overhead: tens of minutes to hours, far beyond
@@ -138,10 +138,7 @@ func TestWrongEndError(t *testing.T) {
 	w.inj.InduceFault(l, faults.Contamination)
 	st := w.inj.State(l.ID)
 	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Clean})
-	if !out.WrongEnd {
-		t.Fatal("wrong-end error not recorded")
-	}
-	if out.Result.Fixed {
+	if out.Fixed {
 		t.Fatal("cleaning the wrong end fixed the link")
 	}
 	if w.crew.WrongEnds != 1 {
@@ -161,10 +158,10 @@ func TestHumanCanReplaceCableAndDisturbsTray(t *testing.T) {
 	}
 	w.inj.InduceFault(l, faults.CableDamaged)
 	out := w.run(t, exec.Task{Link: l, End: faults.EndA, Action: faults.ReplaceCable})
-	if !out.Completed || !out.Result.Fixed {
+	if !out.Completed || !out.Fixed {
 		t.Fatalf("outcome: %+v", out)
 	}
-	if len(out.Effects) == 0 {
+	if out.Touched == 0 {
 		t.Fatal("cable pull disturbed nothing with TrayDisturbProb=1")
 	}
 	if d := out.Duration(); d < 2*sim.Hour {
@@ -184,7 +181,7 @@ func TestHumanTouchCausesCascades(t *testing.T) {
 	w.inj.InduceFault(l, faults.Oxidation)
 	st := w.inj.State(l.ID)
 	out := w.run(t, exec.Task{Link: l, End: st.CauseEnd, Action: faults.Reseat})
-	if len(out.Effects) == 0 {
+	if out.Touched == 0 {
 		t.Fatal("rough human touch caused no cascades with p=1")
 	}
 }
@@ -224,10 +221,11 @@ func TestBusyTechPanics(t *testing.T) {
 
 func TestEstimateAndStrings(t *testing.T) {
 	w := newWorld(t, 9, 1, nil)
-	if w.crew.EstimateExecDuration(faults.Reseat) <= 0 {
+	reseat := w.crew.EstimateDuration(nil, exec.Task{Action: faults.Reseat})
+	if reseat <= 0 {
 		t.Fatal("estimate")
 	}
-	if w.crew.EstimateExecDuration(faults.ReplaceCable) <= w.crew.EstimateExecDuration(faults.Reseat) {
+	if w.crew.EstimateDuration(nil, exec.Task{Action: faults.ReplaceCable}) <= reseat {
 		t.Fatal("cable estimate not larger")
 	}
 	tech := w.crew.techs[0]
