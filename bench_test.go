@@ -8,6 +8,7 @@ package repro_bench
 
 import (
 	"context"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/bus"
@@ -454,9 +455,9 @@ func BenchmarkTopologyBuild(b *testing.B) {
 	}
 }
 
-// BenchmarkWireProtocol regenerates F7: robot-API round trips over TCP
+// BenchmarkRobotAPI regenerates F7: robot-API round trips over HTTP on
 // loopback (plan requests, which carry the contacted-cable report).
-func BenchmarkWireProtocol(b *testing.B) {
+func BenchmarkRobotAPI(b *testing.B) {
 	w, err := scenario.Build(scenario.Options{
 		Seed: 1, BuildNet: scenario.SmallHall,
 		Robots: true, NoController: true, FaultScale: 0.001,
@@ -464,18 +465,10 @@ func BenchmarkWireProtocol(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	svc := robotapi.NewService(w.Eng, w.Net, w.Inj, w.Fleet)
-	srv, err := robotapi.Serve("127.0.0.1:0", svc)
-	if err != nil {
-		b.Fatal(err)
-	}
+	srv := httptest.NewServer(robotapi.Handler(robotapi.NewService(w.Eng, w.Net, w.Inj, w.Fleet)))
 	defer srv.Close()
 	ctx := context.Background()
-	c, err := robotapi.DialClient(ctx, srv.Addr())
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
+	c := robotapi.NewClient(srv.Listener.Addr().String())
 	link := int(w.Net.SwitchLinks()[0].ID)
 	b.ResetTimer()
 	b.ReportAllocs()

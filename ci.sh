@@ -32,8 +32,8 @@ go test -run '^$' -fuzz '^FuzzAddRepeated$' -fuzztime 10s ./internal/routing
 echo "== fuzz (flight-recording reader: error, never panic, 10 s)"
 go test -run '^$' -fuzz '^FuzzReader$' -fuzztime 10s ./internal/flightrec
 
-echo "== fuzz (wire frame reader: envelope or error, never panic, 10 s)"
-go test -run '^$' -fuzz '^FuzzReadFrame$' -fuzztime 10s ./internal/wire
+echo "== fuzz (robot API handler: any request, JSON answers, never panic, 10 s)"
+go test -run '^$' -fuzz '^FuzzHandler$' -fuzztime 10s ./internal/robotapi
 
 echo "== fuzz (SSE stream reader: frames then EOF, never panic, 10 s)"
 go test -run '^$' -fuzz '^FuzzSSEReader$' -fuzztime 10s ./internal/controlplane

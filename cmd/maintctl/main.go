@@ -46,8 +46,8 @@ func main() {
 		usage()
 	}
 
-	// The flight-recorder subcommands run locally; dispatch them before
-	// dialing any daemon.
+	// The flight-recorder subcommands run locally, and watch has its own
+	// flags; dispatch them before the robot API subcommands.
 	switch args[0] {
 	case "record":
 		cmdRecord(args[1:])
@@ -65,11 +65,7 @@ func main() {
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	c, err := robotapi.DialClient(ctx, *addr)
-	if err != nil {
-		fatal(err)
-	}
-	defer c.Close()
+	c := robotapi.NewClient(*addr)
 
 	switch args[0] {
 	case "caps":

@@ -1,6 +1,6 @@
-// Liveapi: the robot control API (§2) over a real TCP connection — the
-// programmatic version of the robotd/maintctl pair. It starts an in-process
-// robot API server, connects a client, and walks the cross-layer workflow
+// Liveapi: the robot control API (§2) over real HTTP — the programmatic
+// version of the robotd/maintctl pair. It serves robotapi.Handler on its own
+// listener, points a client at it, and walks the cross-layer workflow
 // the paper describes: discover capabilities, inject a fault, ask for a
 // manipulation plan (which pre-reports the cables the robot will contact),
 // then execute and verify.
@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"log"
+	"net"
+	"net/http"
 	"time"
 
 	"repro/internal/core"
@@ -32,20 +34,17 @@ func main() {
 		log.Fatal(err)
 	}
 	svc := robotapi.NewService(world.Eng, world.Net, world.Inj, world.Fleet)
-	srv, err := robotapi.Serve("127.0.0.1:0", svc)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer srv.Close()
-	fmt.Println("robot API listening on", srv.Addr())
+	defer ln.Close()
+	go http.Serve(ln, robotapi.Handler(svc))
+	fmt.Println("robot API listening on", ln.Addr())
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	client, err := robotapi.DialClient(ctx, srv.Addr())
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
+	client := robotapi.NewClient(ln.Addr().String())
 
 	caps, err := client.Capabilities(ctx)
 	if err != nil {

@@ -195,18 +195,3 @@ func (r RepairResult) String() string {
 		return fmt.Sprintf("%s@%s did not fix (%s)", r.Action, r.End, r.Note)
 	}
 }
-
-// CascadeEffect describes one collateral effect of physical touch.
-type CascadeEffect struct {
-	Link      *topology.Link
-	Transient bool // true: flap episode; false: new permanent fault
-	Cause     Cause
-}
-
-// String summarizes the effect.
-func (c CascadeEffect) String() string {
-	if c.Transient {
-		return fmt.Sprintf("transient flap on %s", c.Link.Name())
-	}
-	return fmt.Sprintf("induced %s on %s", c.Cause, c.Link.Name())
-}

@@ -14,15 +14,15 @@ import (
 // purpose-built-gripper factor (§3.3.1): robots part cables deliberately
 // and press only on the transceiver body.
 //
-// It returns the collateral effects, which the controller can correlate
-// with the action (§4: "low-level repair actions can be correlated with any
-// resulting failures").
-func (inj *Injector) Touch(p *topology.Port, gentle bool) []CascadeEffect {
+// It returns the number of collateral effects (flaps plus new faults),
+// which the controller can correlate with the action (§4: "low-level
+// repair actions can be correlated with any resulting failures").
+func (inj *Injector) Touch(p *topology.Port, gentle bool) int {
 	factor := 1.0
 	if gentle {
 		factor = inj.cfg.GentleFactor
 	}
-	var effects []CascadeEffect
+	effects := 0
 	origin := inj.net.Layout.PortPoint(p)
 	for _, q := range inj.net.PortsNear(p, inj.cfg.TouchRadiusM) {
 		d := inj.net.Layout.PortPoint(q).Dist(origin)
@@ -30,9 +30,9 @@ func (inj *Injector) Touch(p *topology.Port, gentle bool) []CascadeEffect {
 		if proximity < 0 {
 			proximity = 0
 		}
-		effects = append(effects, inj.disturb(q.Link,
+		effects += inj.disturb(q.Link,
 			inj.cfg.TouchTransientProb*factor*proximity,
-			inj.cfg.TouchPermanentProb*factor*proximity)...)
+			inj.cfg.TouchPermanentProb*factor*proximity)
 	}
 	return effects
 }
@@ -40,16 +40,13 @@ func (inj *Injector) Touch(p *topology.Port, gentle bool) []CascadeEffect {
 // TouchTray applies the cascade model for pulling a cable through its
 // overhead tray run (cable replacement): every tray-mate is disturbed with
 // a small per-cable probability, and a twentieth of those disturbances
-// damage the neighbour outright.
-func (inj *Injector) TouchTray(l *topology.Link, gentle bool) []CascadeEffect {
-	factor := 1.0
-	if gentle {
-		factor = inj.cfg.GentleFactor
-	}
-	p := inj.cfg.TrayDisturbProb * factor
-	var effects []CascadeEffect
+// damage the neighbour outright. Only technicians pull cables, so the
+// touch is always rough. It returns the number of effects, as Touch does.
+func (inj *Injector) TouchTray(l *topology.Link) int {
+	p := inj.cfg.TrayDisturbProb
+	effects := 0
 	for _, mate := range inj.net.LinksSharingTray(l) {
-		effects = append(effects, inj.disturb(mate, p, p/20)...)
+		effects += inj.disturb(mate, p, p/20)
 	}
 	return effects
 }
@@ -72,14 +69,15 @@ func (inj *Injector) DisturbedBy(p *topology.Port) []*topology.Link {
 
 // disturb applies one disturbance to a link: a transient flap with
 // probability pTransient, and a new permanent fault with probability
-// pPermanent (only if the link is currently fault-free).
-func (inj *Injector) disturb(l *topology.Link, pTransient, pPermanent float64) []CascadeEffect {
+// pPermanent (only if the link is currently fault-free). It returns how
+// many of the two happened.
+func (inj *Injector) disturb(l *topology.Link, pTransient, pPermanent float64) int {
 	if l == nil {
-		return nil
+		return 0
 	}
 	rng := inj.rng("touch")
 	st := &inj.states[l.ID]
-	var effects []CascadeEffect
+	effects := 0
 
 	if rng.Bernoulli(pTransient) {
 		// Transient flap: observable packet loss without a lasting health
@@ -91,7 +89,7 @@ func (inj *Injector) disturb(l *topology.Link, pTransient, pPermanent float64) [
 		for _, ls := range inj.listeners {
 			ls.LinkFlapped(l, dur, loss, inj.eng.Now())
 		}
-		effects = append(effects, CascadeEffect{Link: l, Transient: true})
+		effects++
 	}
 
 	if st.Cause == None && !st.InRepair && rng.Bernoulli(pPermanent) {
@@ -104,7 +102,7 @@ func (inj *Injector) disturb(l *topology.Link, pTransient, pPermanent float64) [
 		}
 		inj.stats.CascadePermanents++
 		inj.beginFault(l, c)
-		effects = append(effects, CascadeEffect{Link: l, Cause: c})
+		effects++
 	}
 	return effects
 }

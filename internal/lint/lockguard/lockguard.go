@@ -1,5 +1,5 @@
 // Package lockguard lints the concurrency seams of the tree: the few
-// places (wire server, selfmaintd event ring, scenario runner timings)
+// places (control-plane hub, scenario runner timings)
 // where real goroutines meet the otherwise single-threaded simulation.
 //
 // Three checks share the analyzer:

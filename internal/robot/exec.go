@@ -73,7 +73,7 @@ func (r *taskRun) primitiveOK() bool {
 func (r *taskRun) approach() {
 	r.next(r.dur(r.f.cfg.NavSetup)+r.dur(r.f.cfg.PartCables), "robot-approach", func() {
 		// Parting cables is a gentle touch with cascade risk.
-		r.out.Touched += len(r.f.inj.Touch(r.t.Port(), true))
+		r.out.Touched += r.f.inj.Touch(r.t.Port(), true)
 		r.identify(0)
 	})
 }
@@ -120,7 +120,7 @@ func (r *taskRun) manipulate() {
 	switch r.t.Action {
 	case faults.Reseat:
 		r.next(unplug+r.dur(r.f.cfg.ReseatDwell)+r.dur(r.f.cfg.Plug), "robot-reseat", func() {
-			r.out.Touched += len(r.f.inj.Touch(r.t.Port(), true))
+			r.out.Touched += r.f.inj.Touch(r.t.Port(), true)
 			r.applyAndFinish(faults.Reseat)
 		})
 	case faults.Clean:
@@ -200,7 +200,7 @@ func (r *taskRun) reassemble() {
 
 func (r *taskRun) reassembleThen(fn func()) {
 	r.next(r.dur(r.f.cfg.Plug), "robot-reassemble", func() {
-		r.out.Touched += len(r.f.inj.Touch(r.t.Port(), true))
+		r.out.Touched += r.f.inj.Touch(r.t.Port(), true)
 		fn()
 	})
 }
@@ -214,7 +214,6 @@ func (r *taskRun) abortMechanical(note string) {
 	}
 	if r.f.rng().Bernoulli(r.f.cfg.BreakProb) {
 		r.u.broken = true
-		r.f.BrokenEvents++
 		r.f.eng.After(r.f.cfg.RepairTime, "robot-repaired", func() {
 			r.u.broken = false
 		})
@@ -237,12 +236,6 @@ func (r *taskRun) finish(completed, needsHuman bool, note string) {
 	r.u.busy = false
 	r.u.BusyTime += r.out.Duration()
 	r.u.tasks++
-	if completed {
-		r.u.TasksDone++
-	}
-	if needsHuman {
-		r.f.HumanEscal++
-	}
 	if r.f.cfg.BatteryTasks > 0 && r.u.tasks >= r.f.cfg.BatteryTasks && !r.u.broken {
 		r.u.tasks = 0
 		r.u.charging = true

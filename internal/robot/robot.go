@@ -63,8 +63,7 @@ type Unit struct {
 	charging bool
 	tasks    int // since last charge
 
-	TasksDone int
-	BusyTime  sim.Time
+	BusyTime sim.Time
 }
 
 // Name returns the unit's name.
@@ -174,10 +173,6 @@ type Fleet struct {
 	cfg  Config
 
 	units []*Unit
-
-	// Stats
-	HumanEscal   int
-	BrokenEvents int
 }
 
 // Act finds the duration estimate by type assertion; this keeps the

@@ -89,8 +89,8 @@ func TestReseatFixesOxidation(t *testing.T) {
 	if d := out.Duration(); d < 30*sim.Second || d > 15*sim.Minute {
 		t.Fatalf("reseat duration %v", d)
 	}
-	if u.TasksDone != 1 || u.BusyTime == 0 {
-		t.Fatalf("unit stats: %+v", u)
+	if u.BusyTime != out.Duration() {
+		t.Fatalf("unit busy %v for a %v task", u.BusyTime, out.Duration())
 	}
 	if !u.Available() {
 		t.Fatal("unit not released")
@@ -164,9 +164,6 @@ func TestHumanOnlyActionsEscalate(t *testing.T) {
 	if !out.NeedsHuman || out.Completed {
 		t.Fatalf("outcome: %+v", out)
 	}
-	if w.fleet.HumanEscal != 1 {
-		t.Fatal("escalation not counted")
-	}
 	if !CanPerform(faults.Reseat) || CanPerform(faults.ReplaceSwitchPort) {
 		t.Fatal("capability matrix")
 	}
@@ -222,9 +219,6 @@ func TestMechanicalFailureEscalatesAndCanBreakUnit(t *testing.T) {
 	}
 	if !u.broken {
 		t.Fatal("unit not broken with BreakProb=1")
-	}
-	if w.fleet.BrokenEvents != 1 {
-		t.Fatal("break not counted")
 	}
 	if w.inj.State(l.ID).InRepair {
 		t.Fatal("aborted task left link in repair")

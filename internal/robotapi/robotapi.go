@@ -7,7 +7,7 @@
 //
 // Service drives the fleet through the exec.Executor contract the Act stage
 // also uses; the controller dispatches to the fleet directly, not through
-// Service. Serve exposes a Service over TCP and Client calls it
+// Service. Handler serves a Service over HTTP and Client calls it
 // (transport.go), as the robotd daemon, the maintctl CLI and
 // examples/liveapi do.
 package robotapi
@@ -181,13 +181,10 @@ func (s *Service) Execute(spec TaskSpec) (ExecuteResult, error) {
 	}, nil
 }
 
-// Topology returns the hall's static structure in the topology package's
-// JSON wire form, so external tooling can render or analyze the plant.
-func (s *Service) Topology() (*topology.Network, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.net, nil
-}
+// Topology returns the hall's static structure, which marshals to the
+// topology package's JSON wire form, so external tooling can render or
+// analyze the plant. The network is fixed at NewService, so no lock.
+func (s *Service) Topology() *topology.Network { return s.net }
 
 // Health reports current observable link health.
 func (s *Service) Health() HealthReport {

@@ -99,8 +99,6 @@ type Crew struct {
 	// activeRows counts technicians currently hands-on per row, for the
 	// human-robot safety interlock (§3.4).
 	activeRows map[int]int
-
-	WrongEnds int
 }
 
 // Act finds the capabilities by type assertion, so a renamed method would
@@ -257,10 +255,9 @@ func (c *Crew) handsOn(tech *Technician, task exec.Task, out exec.Outcome, done 
 	end := task.End
 	if rng.Bernoulli(c.cfg.WrongEndProb) {
 		end = end.Opposite()
-		c.WrongEnds++
 	}
 	// Reaching in disturbs neighbours at full (rough) intensity.
-	out.Touched += len(c.inj.Touch(task.Port(), false))
+	out.Touched += c.inj.Touch(task.Port(), false)
 	c.inj.BeginRepair(task.Link)
 	row := task.Port().Device.Loc.Row
 	c.activeRows[row]++
@@ -269,13 +266,13 @@ func (c *Crew) handsOn(tech *Technician, task exec.Task, out exec.Outcome, done 
 		c.activeRows[row]--
 		if task.Action == faults.ReplaceCable {
 			// Pulling a new cable through the trays disturbs tray-mates.
-			out.Touched += len(c.inj.TouchTray(task.Link, false))
+			out.Touched += c.inj.TouchTray(task.Link)
 		}
 		res := c.inj.FinishRepair(task.Link, task.Action, end)
 		out.Completed = true
 		out.Fixed, out.Masked, out.Note = res.Fixed, res.Masked, res.Note
 		// Withdrawal touch.
-		out.Touched += len(c.inj.Touch(task.Port(), false))
+		out.Touched += c.inj.Touch(task.Port(), false)
 		c.finish(tech, out, done)
 	})
 }
