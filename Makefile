@@ -17,10 +17,9 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific determinism and hot-path analyzers (see internal/lint).
-# -stale fails on //lint:allow directives that no longer suppress anything;
-# the fact cache carries interprocedural results to the bench-diff stage.
+# -stale fails on //lint:allow directives that no longer suppress anything.
 lint:
-	$(GO) run ./cmd/selfmaintlint -stale -factcache .cache/selfmaintlint ./...
+	$(GO) run ./cmd/selfmaintlint -stale ./...
 
 fmt:
 	gofmt -w .
@@ -34,7 +33,7 @@ fmt-check:
 bench:
 	$(GO) test -bench=. -benchmem .
 	$(GO) run ./cmd/experiments -quick -serial -bench-json BENCH_experiments.json > /dev/null
-	$(GO) run ./cmd/selfmaintlint -factcache .cache/selfmaintlint -bench-json BENCH_experiments.json ./...
+	$(GO) run ./cmd/selfmaintlint -bench-json BENCH_experiments.json ./...
 	$(GO) run ./cmd/cpload -watchers 1000 -steps 30 -queue-cap 64 -heap-mb 128 -bench-json BENCH_experiments.json > /dev/null
 
 # One-iteration pass over the routing hot-path benchmarks: proves the
@@ -50,7 +49,7 @@ bench-quick:
 bench-diff:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) run ./cmd/experiments -quick -serial -bench-json "$$tmp/bench.json" > /dev/null && \
-	$(GO) run ./cmd/selfmaintlint -factcache .cache/selfmaintlint -bench-json "$$tmp/bench.json" ./... && \
+	$(GO) run ./cmd/selfmaintlint -bench-json "$$tmp/bench.json" ./... && \
 	$(GO) run ./cmd/cpload -watchers 1000 -steps 30 -queue-cap 64 -heap-mb 128 -bench-json "$$tmp/bench.json" > /dev/null && \
 	$(GO) run ./cmd/benchdiff BENCH_experiments.json "$$tmp/bench.json"
 

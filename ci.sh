@@ -9,7 +9,7 @@ go build ./...
 echo "== go vet"
 go vet ./...
 
-echo "== selfmaintlint (-stale; fact cache feeds the bench-diff stage)"
+echo "== selfmaintlint (-stale)"
 make lint
 
 echo "== gofmt"

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"strings"
 	"time"
 
@@ -20,6 +19,7 @@ import (
 )
 
 type watchOpts struct {
+	out    io.Writer
 	addr   string
 	topics string
 	resume string
@@ -29,9 +29,10 @@ type watchOpts struct {
 	follow bool
 }
 
-func cmdWatch(args []string) {
-	fs := flag.NewFlagSet("maintctl watch", flag.ExitOnError)
-	var o watchOpts
+func cmdWatch(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("maintctl watch", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := watchOpts{out: stdout}
 	fs.StringVar(&o.addr, "addr", "127.0.0.1:7800", "selfmaintd address")
 	fs.StringVar(&o.topics, "topics", "", "comma-separated topic filter (e.g. cp.ticket,sense.alert)")
 	fs.StringVar(&o.resume, "resume", "", "session token from a previous hello")
@@ -39,17 +40,19 @@ func cmdWatch(args []string) {
 	fs.IntVar(&o.n, "n", 0, "exit after N delta frames (0 = until interrupted)")
 	fs.BoolVar(&o.raw, "raw", false, "print raw frame JSON instead of formatted lines")
 	fs.BoolVar(&o.follow, "follow", false, "reconnect and resume automatically when the stream drops")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return flagExit(err)
+	}
 
 	for {
 		err := watchOnce(&o)
 		if err == nil {
-			return // -n satisfied
+			return 0 // -n satisfied
 		}
 		if !o.follow {
-			fatal(err)
+			return fail(stderr, err)
 		}
-		fmt.Fprintln(os.Stderr, "maintctl: stream dropped:", err, "— resuming")
+		fmt.Fprintln(stderr, "maintctl: stream dropped:", err, "— resuming")
 		time.Sleep(time.Second)
 	}
 }
@@ -100,7 +103,7 @@ func watchOnce(o *watchOpts) error {
 
 func printFrame(o *watchOpts, event, data string) {
 	if o.raw {
-		fmt.Printf("%s %s\n", event, data)
+		fmt.Fprintf(o.out, "%s %s\n", event, data)
 	}
 	switch event {
 	case "hello":
@@ -112,7 +115,7 @@ func printFrame(o *watchOpts, event, data string) {
 		if json.Unmarshal([]byte(data), &h) == nil {
 			o.resume, o.last = h.Session, h.Seq
 			if !o.raw {
-				fmt.Printf("connected: session %s, %s at seq %d (resume with -resume %s -last N)\n",
+				fmt.Fprintf(o.out, "connected: session %s, %s at seq %d (resume with -resume %s -last N)\n",
 					h.Session, h.Mode, h.Seq, h.Session)
 			}
 		}
@@ -122,7 +125,7 @@ func printFrame(o *watchOpts, event, data string) {
 			State map[string]json.RawMessage `json:"state"`
 		}
 		if json.Unmarshal([]byte(data), &s) == nil && !o.raw {
-			fmt.Printf("snapshot at seq %d: %d state topics\n", s.Seq, len(s.State))
+			fmt.Fprintf(o.out, "snapshot at seq %d: %d state topics\n", s.Seq, len(s.State))
 		}
 	case "delta":
 		var d struct {
@@ -142,15 +145,15 @@ func printFrame(o *watchOpts, event, data string) {
 		}
 		switch {
 		case d.Delete:
-			fmt.Printf("[%s] %s %s cleared\n", d.At, d.Topic, d.Key)
+			fmt.Fprintf(o.out, "[%s] %s %s cleared\n", d.At, d.Topic, d.Key)
 		case d.Key != "":
-			fmt.Printf("[%s] %s %s %s\n", d.At, d.Topic, d.Key, d.Payload)
+			fmt.Fprintf(o.out, "[%s] %s %s %s\n", d.At, d.Topic, d.Key, d.Payload)
 		default:
-			fmt.Printf("[%s] %s %s\n", d.At, d.Topic, d.Payload)
+			fmt.Fprintf(o.out, "[%s] %s %s\n", d.At, d.Topic, d.Payload)
 		}
 	case "drops":
 		if !o.raw {
-			fmt.Printf("backpressure: %s\n", data)
+			fmt.Fprintf(o.out, "backpressure: %s\n", data)
 		}
 	}
 }

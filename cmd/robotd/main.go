@@ -33,9 +33,15 @@ import (
 	"repro/internal/topology"
 )
 
-// shutdownTimeout bounds the graceful HTTP drain; a request still running
-// after it (a long Execute, typically) has its connection force-closed.
-const shutdownTimeout = 5 * time.Second
+const (
+	// shutdownTimeout bounds the graceful HTTP drain; a request still running
+	// after it (a long Execute, typically) has its connection force-closed.
+	shutdownTimeout = 5 * time.Second
+	// A client whose request headers take longer than readHeaderTimeout, or
+	// whose keep-alive connection idles for idleTimeout, is dropped.
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
 
 // config is the parsed and validated command line.
 type config struct {
@@ -100,7 +106,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "robotd:", err)
 		return 1
 	}
-	srv := &http.Server{Handler: robotapi.Handler(robotapi.NewService(w.Eng, w.Net, w.Inj, w.Fleet))}
+	// No ReadTimeout or WriteTimeout: an Execute answers only once its task
+	// resolves, and a lapsed read deadline cancels the request's context.
+	h := robotapi.Handler(robotapi.NewService(w.Eng, w.Net, w.Inj, w.Fleet))
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	sig, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"io"
 	"net"
 	"os"
 	"strings"
@@ -70,12 +71,14 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// TestSigtermShutsDown serves, answers one request, and exits 0 after
-// "shutting down" on SIGTERM.
-func TestSigtermShutsDown(t *testing.T) {
-	var stdout, stderr syncBuffer
-	codec := make(chan int, 1)
-	go func() { codec <- run([]string{"-listen", "127.0.0.1:0"}, &stdout, &stderr) }()
+// startRobotd runs the daemon on a free port until stopRobotd, returning
+// its address.
+func startRobotd(t *testing.T) (addr string, stdout *syncBuffer, codec chan int) {
+	t.Helper()
+	var stderr syncBuffer
+	stdout = new(syncBuffer)
+	codec = make(chan int, 1)
+	go func() { codec <- run([]string{"-listen", "127.0.0.1:0"}, stdout, &stderr) }()
 
 	deadline := time.Now().Add(10 * time.Second)
 	for !strings.Contains(stdout.String(), "serving robot API on") {
@@ -84,21 +87,54 @@ func TestSigtermShutsDown(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	addr := strings.Fields(strings.SplitAfter(stdout.String(), "serving robot API on ")[1])[0]
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if h, err := robotapi.NewClient(addr).Health(ctx); err != nil || h.Links == 0 {
-		t.Fatalf("health from %s: %+v, %v", addr, h, err)
-	}
+	return strings.Fields(strings.SplitAfter(stdout.String(), "serving robot API on ")[1])[0], stdout, codec
+}
+
+// stopRobotd sends SIGTERM and returns run's exit code.
+func stopRobotd(t *testing.T, codec chan int) int {
+	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	select {
 	case code := <-codec:
-		if code != 0 || !strings.Contains(stdout.String(), "robotd: shutting down") {
-			t.Fatalf("run() = %d\nstdout: %s\nstderr: %s", code, stdout.String(), stderr.String())
-		}
+		return code
 	case <-time.After(10 * time.Second):
 		t.Fatal("robotd did not shut down after SIGTERM")
+	}
+	return -1
+}
+
+// TestSigtermShutsDown serves, answers one request, and exits 0 after
+// "shutting down" on SIGTERM.
+func TestSigtermShutsDown(t *testing.T) {
+	addr, stdout, codec := startRobotd(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if h, err := robotapi.NewClient(addr).Health(ctx); err != nil || h.Links == 0 {
+		t.Fatalf("health from %s: %+v, %v", addr, h, err)
+	}
+	if code := stopRobotd(t, codec); code != 0 || !strings.Contains(stdout.String(), "robotd: shutting down") {
+		t.Fatalf("run() = %d\nstdout: %s", code, stdout.String())
+	}
+}
+
+// TestStalledHeaderDropped sends half a request line and stalls: robotd
+// must close the connection within twice readHeaderTimeout, unanswered.
+func TestStalledHeaderDropped(t *testing.T) {
+	addr, _, codec := startRobotd(t)
+	defer stopRobotd(t, codec)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/hea"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * readHeaderTimeout))
+	got, err := io.ReadAll(conn)
+	if err != nil || strings.Contains(string(got), "200 OK") {
+		t.Fatalf("stalled client: read %q, %v; want the connection closed unanswered", got, err)
 	}
 }

@@ -282,6 +282,36 @@ func TestStreamWhileStepping(t *testing.T) {
 	}
 }
 
+// TestStalledHeaderDropped sends half a request line to the daemon's server
+// and stalls: it must close the connection within twice readHeaderTimeout,
+// unanswered.
+func TestStalledHeaderDropped(t *testing.T) {
+	d, err := newDaemon(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- d.srv.Serve(ln) }()
+	defer func() { d.shutdown(); <-errc }()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET /v1/hea"); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(2 * readHeaderTimeout))
+	got, err := io.ReadAll(conn)
+	if err != nil || strings.Contains(string(got), "200 OK") {
+		t.Fatalf("stalled client: read %q, %v; want the connection closed unanswered", got, err)
+	}
+}
+
 // syncBuffer is a goroutine-safe writer for capturing run()'s output.
 type syncBuffer struct {
 	mu  sync.Mutex

@@ -63,9 +63,15 @@ import (
 	"repro/selfmaint"
 )
 
-// shutdownTimeout bounds the graceful HTTP drain; connections still open
-// after it (streaming watchers, typically) are force-closed.
-const shutdownTimeout = 5 * time.Second
+const (
+	// shutdownTimeout bounds the graceful HTTP drain; connections still open
+	// after it (streaming watchers, typically) are force-closed.
+	shutdownTimeout = 5 * time.Second
+	// A client whose request headers take longer than readHeaderTimeout, or
+	// whose keep-alive connection idles for idleTimeout, is dropped.
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 60 * time.Second
+)
 
 // config is the parsed and validated command line.
 type config struct {
@@ -177,7 +183,9 @@ func newDaemon(cfg config) (*daemon, error) {
 	// The feed publishes the initial keyed state immediately, so /status
 	// and snapshots are complete before the first pacing step.
 	d.feed = c.FeedControlPlane(d.hub)
-	d.srv = &http.Server{Handler: d.routes()}
+	// No ReadTimeout or WriteTimeout: a /v1/stream answer is open-ended, and
+	// a lapsed read deadline cancels the request's context.
+	d.srv = &http.Server{Handler: d.routes(), ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	return d, nil
 }
 

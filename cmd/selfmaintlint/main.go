@@ -15,8 +15,6 @@
 //	                  nothing (dead suppressions must not accumulate)
 //	-json             print findings as a JSON array
 //	                  (file/line/col/analyzer/message/chain)
-//	-factcache DIR    cache propagated facts in DIR/facts.json; unchanged
-//	                  packages skip fact recomputation on the next run
 //	-bench-json FILE  upsert this run's wall time as the "lint" experiment
 //	                  in the BENCH artifact, for cmd/benchdiff gating
 //	-v                list packages as they are analyzed
@@ -42,7 +40,6 @@ func main() {
 	fix := flag.Bool("fix", false, "apply suggested fixes in place")
 	stale := flag.Bool("stale", false, "flag //lint:allow directives that suppressed nothing")
 	jsonOut := flag.Bool("json", false, "print findings as JSON")
-	factCache := flag.String("factcache", "", "directory for the interprocedural fact cache")
 	benchJSON := flag.String("bench-json", "", "BENCH artifact to record lint wall time in")
 	verbose := flag.Bool("v", false, "log packages as they run")
 	flag.Parse()
@@ -52,7 +49,6 @@ func main() {
 		Fix:       *fix,
 		Stale:     *stale,
 		JSON:      *jsonOut,
-		FactCache: *factCache,
 		BenchJSON: *benchJSON,
 		Verbose:   *verbose,
 	}))

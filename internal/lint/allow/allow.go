@@ -130,15 +130,6 @@ func (ix *Index) Allowed(name string, fset *token.FileSet, pos token.Pos) bool {
 	return len(ds) > 0
 }
 
-// MarkUsed marks the directives of analyzer covering file:line as used.
-// The driver replays fact-cache usage records through this on a cache hit,
-// where the suppression that consumed the directive does not re-run.
-func (ix *Index) MarkUsed(analyzer, file string, line int) {
-	for _, d := range ix.lines[analyzer][file][line] {
-		d.Used = true
-	}
-}
-
 // Filter returns the diagnostics of analyzer name not suppressed by ix.
 func (ix *Index) Filter(name string, fset *token.FileSet, diags []analysis.Diagnostic) []analysis.Diagnostic {
 	kept := diags[:0]

@@ -166,24 +166,6 @@ func f() {
 	}
 }
 
-func TestMarkUsedReplaysCacheRecords(t *testing.T) {
-	src := `package p
-
-func f() {
-	_ = 1 //lint:allow wallclock suppressed a fact last run
-}
-`
-	_, ix := build(t, src)
-	d := ix.Directives[0]
-	ix.MarkUsed("wallclock", d.File, d.Line)
-	if len(ix.Stale()) != 0 {
-		t.Fatal("replayed usage did not clear staleness")
-	}
-	// Replays for lines nothing covers are a no-op, not a panic.
-	ix.MarkUsed("wallclock", d.File, d.Line+10)
-	ix.MarkUsed("mapiter", d.File, d.Line)
-}
-
 // lineStart returns a Pos on the given 1-based line of the single test file.
 func lineStart(fset *token.FileSet, line int) token.Pos {
 	var pos token.Pos

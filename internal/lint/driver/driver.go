@@ -1,10 +1,9 @@
 // Package driver runs the selfmaintlint analyzer suite over a set of
 // packages: it loads and type-checks them, computes and propagates
-// interprocedural facts in dependency order (with an optional on-disk
-// cache), applies //lint:allow suppression, and renders the surviving
-// findings as text or JSON. cmd/selfmaintlint is a thin flag wrapper
-// around Run; the analysistest harness mirrors the same fact plumbing for
-// single testdata packages.
+// interprocedural facts in dependency order, applies //lint:allow
+// suppression, and renders the surviving findings as text or JSON.
+// cmd/selfmaintlint is a thin flag wrapper around Run; the analysistest
+// harness mirrors the same fact plumbing for single testdata packages.
 package driver
 
 import (
@@ -45,10 +44,6 @@ type Options struct {
 	Stale bool
 	// JSON renders findings as a JSON array instead of text lines.
 	JSON bool
-	// FactCache is a directory holding facts.json between runs; unchanged
-	// packages (same sources, same dependency facts) skip fact
-	// recomputation.
-	FactCache string
 	// BenchJSON upserts a "lint" experiment entry with this run's wall time
 	// into the named BENCH artifact, so cmd/benchdiff gates lint-time
 	// regressions alongside the simulation experiments.
@@ -104,8 +99,6 @@ func Run(opts Options) int {
 	}
 
 	store := facts.NewStore()
-	cache := loadCache(opts)
-	usedByPkg := make(map[string][]facts.UsedAllow)
 
 	var findings []Finding
 	indexes := make([]*allow.Index, len(pkgs))
@@ -119,32 +112,12 @@ func Run(opts Options) int {
 			findings = append(findings, newFinding(pkg.Fset, "allow", p))
 		}
 
-		hash := pkgHash(pkg, store)
-		if sp, ok := cache.Packages[pkg.Path]; ok && hash != "" && sp.Hash == hash {
-			store.InjectPackage(pkg.Path, hash, sp.Facts)
-			for _, u := range sp.Used {
-				ix.MarkUsed(u.Analyzer, u.File, u.Line)
-			}
-			usedByPkg[pkg.Path] = sp.Used
-		}
 		pkg := pkg
 		view := facts.Analyze(
 			&facts.PkgInfo{Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info},
 			store, collectors,
 			func(name string, pos token.Pos) bool { return ix.Allowed(name, pkg.Fset, pos) },
 		)
-		if _, cached := usedByPkg[pkg.Path]; !cached {
-			store.MarkAnalyzed(pkg.Path, hash)
-			// Directives used so far were consumed by fact suppression;
-			// record them so cache hits can replay the usage for -stale.
-			var used []facts.UsedAllow
-			for _, d := range ix.Directives {
-				if d.Used {
-					used = append(used, facts.UsedAllow{Analyzer: d.Analyzer, File: d.File, Line: d.Line})
-				}
-			}
-			usedByPkg[pkg.Path] = used
-		}
 
 		for _, a := range analyzers {
 			if a.Run == nil {
@@ -196,8 +169,6 @@ func Run(opts Options) int {
 			}
 		}
 	}
-
-	saveCache(opts, store, usedByPkg)
 
 	if opts.Fix {
 		findings = applyFixes(opts, findings)

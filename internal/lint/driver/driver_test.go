@@ -70,27 +70,6 @@ func TestStaleDirectiveReported(t *testing.T) {
 	}
 }
 
-func TestFactCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	first, _, code1 := runDemo(t, Options{Stale: true, FactCache: dir})
-	if code1 != 1 {
-		t.Fatalf("first run exit %d, want 1", code1)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "facts.json")); err != nil {
-		t.Fatalf("cache file not written: %v", err)
-	}
-	// The second run hits the cache (same sources, same deps); findings and
-	// staleness must be byte-identical — in particular the wallclock
-	// directive that suppressed a fact on the first run must replay as used.
-	second, _, code2 := runDemo(t, Options{Stale: true, FactCache: dir})
-	if code2 != 1 {
-		t.Fatalf("second run exit %d, want 1", code2)
-	}
-	if first != second {
-		t.Errorf("cache hit changed output\nfirst:\n%s\nsecond:\n%s", first, second)
-	}
-}
-
 func TestBenchJSONUpsert(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH.json")
 	_, stderr, _ := runDemo(t, Options{BenchJSON: path})

@@ -100,9 +100,7 @@ func (v *View) Caller(call *ast.CallExpr) string {
 
 // Analyze computes and propagates facts for one package, installs them in
 // the store, and returns the package's call-site view. collectors seed the
-// origins; suppress applies //lint:allow pruning. When the store already
-// holds this package's facts (a cache hit injected them), seeding and
-// propagation are skipped and only the view is rebuilt.
+// origins; suppress applies //lint:allow pruning.
 func Analyze(pkg *PkgInfo, store *Store, collectors []Collector, suppress Suppressor) *View {
 	if suppress == nil {
 		suppress = func(string, token.Pos) bool { return false }
@@ -112,11 +110,8 @@ func Analyze(pkg *PkgInfo, store *Store, collectors []Collector, suppress Suppre
 	b.collectBindings()
 	b.resolveCalls()
 
-	if store.CachedHash(pkg.Pkg.Path()) == "" {
-		b.seed(collectors)
-		b.propagate()
-		store.MarkAnalyzed(pkg.Pkg.Path(), "computed")
-	}
+	b.seed(collectors)
+	b.propagate()
 
 	v := &View{store: store, byCall: make(map[*ast.CallExpr]*callSite), callers: make(map[*ast.CallExpr]string)}
 	for i := range b.nodes {
@@ -142,7 +137,7 @@ type builder struct {
 
 // litKey returns the per-run key of a function literal. Literals never
 // cross package boundaries by name; the position keeps the key stable
-// within a run (and across runs, for the serialized cache).
+// within a run.
 func (b *builder) litKey(lit *ast.FuncLit) string {
 	p := b.pkg.Fset.Position(lit.Pos())
 	return fmt.Sprintf("%s.funclit@%s:%d:%d", b.pkg.Pkg.Path(), filepath.Base(p.Filename), p.Line, p.Column)

@@ -10,14 +10,11 @@
 // frames below the function an analyzer is looking at still surfaces, with
 // the call chain in the diagnostic.
 //
-// Facts are computed per package, in dependency order: when package B is
-// analyzed, the facts of every package it imports are already in the
-// Store, keyed by a stable object key (import path + receiver + name), so
-// a summary of a dependency substitutes for its source exactly the way gc
-// export data substitutes for its syntax trees. The Store serializes to
-// JSON alongside the build cache's export data (cmd/selfmaintlint
-// -factcache), which lets later lint invocations in the same CI run skip
-// recomputation for unchanged packages.
+// Facts are computed per package, in dependency order, on every run: when
+// package B is analyzed, the facts of every package it imports are already
+// in the Store, keyed by a stable object key (import path + receiver +
+// name), so a summary of a dependency substitutes for its source exactly
+// the way gc export data substitutes for its syntax trees.
 //
 // Soundness boundary (deliberate, documented): calls through function
 // parameters, function values received over channels, and reflection are
@@ -29,14 +26,9 @@
 package facts
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"go/types"
-	"sort"
-	"strings"
-
-	"repro/internal/detsort"
 )
 
 // Kind enumerates the fact kinds the suite propagates.
@@ -84,33 +76,6 @@ func (k Kind) String() string {
 		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// kindByName is the inverse of String, for deserialization.
-var kindByName = func() map[string]Kind {
-	m := make(map[string]Kind, numKinds)
-	for k, n := range kindNames {
-		m[n] = Kind(k)
-	}
-	return m
-}()
-
-// MarshalJSON writes kinds by name, keeping the fact cache readable and
-// stable if the enum is ever reordered.
-func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
-// UnmarshalJSON is the inverse of MarshalJSON.
-func (k *Kind) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		return err
-	}
-	v, ok := kindByName[s]
-	if !ok {
-		return fmt.Errorf("unknown fact kind %q", s)
-	}
-	*k = v
-	return nil
 }
 
 // Analyzer returns the name of the analyzer that reports (and whose
@@ -162,9 +127,9 @@ type Origin struct {
 // the function containing the origin; Origin names the site itself
 // ("make at internal/routing/destroot.go:315").
 type Fact struct {
-	Kind   Kind     `json:"kind"`
-	Chain  []string `json:"chain"`
-	Origin string   `json:"origin"`
+	Kind   Kind
+	Chain  []string
+	Origin string
 }
 
 // ChainWithOrigin returns the chain elements for a diagnostic reported at
@@ -186,22 +151,18 @@ func (f Fact) ChainWithOrigin(caller string) []string {
 }
 
 // Store holds the facts of every analyzed package, keyed by function
-// object key. It is shared across one whole lint run (and optionally
-// serialized between runs); packages must be analyzed in dependency order
-// so that lookups for imported functions hit.
+// object key. It is shared across one whole lint run; packages must be
+// analyzed in dependency order so that lookups for imported functions hit.
 type Store struct {
 	// facts maps object key -> kind -> fact. One fact per kind per
 	// function: the first (position-deterministic) path found wins, which
 	// keeps diagnostics stable across runs.
 	facts map[string]*[numKinds]*Fact
-	// pkgs records which packages have been analyzed, with the input hash
-	// that validates cache entries.
-	pkgs map[string]string
 }
 
 // NewStore returns an empty fact store.
 func NewStore() *Store {
-	return &Store{facts: make(map[string]*[numKinds]*Fact), pkgs: make(map[string]string)}
+	return &Store{facts: make(map[string]*[numKinds]*Fact)}
 }
 
 // get returns the fact of kind k attached to key, if any.
@@ -257,83 +218,3 @@ func recvName(t types.Type) string {
 	}
 	return prefix + t.String()
 }
-
-// UsedAllow records a //lint:allow directive that suppressed a fact during
-// computation (killed an origin or pruned a call edge). Cache hits skip
-// that computation, so the driver replays these records to keep the
-// directives counted as used — otherwise a cache hit would turn every
-// fact-only suppression into a false -stale finding.
-type UsedAllow struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-}
-
-// StoredPkg is the serialized form of one package's facts.
-type StoredPkg struct {
-	Hash  string            `json:"hash"`
-	Facts map[string][]Fact `json:"facts,omitempty"`
-	Used  []UsedAllow       `json:"used_allows,omitempty"`
-}
-
-// Serialized is the on-disk shape of a Store (cmd/selfmaintlint
-// -factcache): one entry per analyzed package, invalidated by an input
-// hash covering the package's sources and its dependencies' facts.
-type Serialized struct {
-	Version  int                  `json:"version"`
-	Packages map[string]StoredPkg `json:"packages"`
-}
-
-// SerialVersion invalidates every cache entry when the fact layer's
-// semantics change.
-const SerialVersion = 1
-
-// Export converts the store to its serializable form. Iteration is over
-// sorted keys so the serialized bytes are identical run to run — the
-// on-disk fact cache must not churn under version control or diffing.
-func (s *Store) Export() Serialized {
-	out := Serialized{Version: SerialVersion, Packages: make(map[string]StoredPkg)}
-	for _, path := range detsort.Keys(s.pkgs) {
-		hash := s.pkgs[path]
-		sp := StoredPkg{Hash: hash, Facts: make(map[string][]Fact)}
-		prefix := path + "."
-		for _, key := range detsort.Keys(s.facts) {
-			e := s.facts[key]
-			if !strings.HasPrefix(key, prefix) {
-				continue
-			}
-			var fs []Fact
-			for _, f := range e {
-				if f != nil {
-					fs = append(fs, *f)
-				}
-			}
-			if len(fs) > 0 {
-				sort.Slice(fs, func(i, j int) bool { return fs[i].Kind < fs[j].Kind })
-				sp.Facts[key] = fs
-			}
-		}
-		out.Packages[path] = sp
-	}
-	return out
-}
-
-// InjectPackage installs a previously serialized package into the store,
-// marking it analyzed under the given hash.
-func (s *Store) InjectPackage(path, hash string, facts map[string][]Fact) {
-	for _, key := range detsort.Keys(facts) {
-		for _, f := range facts[key] {
-			if int(f.Kind) < int(numKinds) {
-				s.put(key, f)
-			}
-		}
-	}
-	s.pkgs[path] = hash
-}
-
-// CachedHash returns the recorded input hash for path ("" if the package
-// has not been analyzed).
-func (s *Store) CachedHash(path string) string { return s.pkgs[path] }
-
-// MarkAnalyzed records that path's facts are present under hash.
-func (s *Store) MarkAnalyzed(path, hash string) { s.pkgs[path] = hash }

@@ -99,7 +99,7 @@ func NewService(eng *sim.Engine, net *topology.Network, inj *faults.Injector, fl
 func (s *Service) Capabilities() Capabilities {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var c Capabilities
+	c := Capabilities{Units: []UnitInfo{}, Actions: []string{}}
 	for _, u := range s.fleet.Units() {
 		c.Units = append(c.Units, UnitInfo{
 			Name: u.Name(), Scope: u.Scope.String(),
@@ -123,7 +123,7 @@ func (s *Service) Plan(spec TaskSpec) (Plan, error) {
 	if err != nil {
 		return Plan{}, err
 	}
-	var p Plan
+	p := Plan{CablesAtRisk: []int{}}
 	if !s.fleet.CanPerform(task.Action) {
 		p.Reason = fmt.Sprintf("action %v requires a technician", task.Action)
 		return p, nil
@@ -190,7 +190,7 @@ func (s *Service) Topology() *topology.Network { return s.net }
 func (s *Service) Health() HealthReport {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep := HealthReport{Links: len(s.net.Links)}
+	rep := HealthReport{Links: len(s.net.Links), Down: []string{}, Flapping: []string{}}
 	for _, l := range s.net.Links {
 		switch s.inj.Observable(l.ID) {
 		case faults.Down:

@@ -301,17 +301,19 @@ func TestHandlerStatuses(t *testing.T) {
 		name, method, path, body string
 		want                     int
 		errText                  string // substring of the "error" field
+		has                      string // substring of a 200 body
 	}{
-		{"health", "GET", "/v1/health", "", http.StatusOK, ""},
-		{"inject", "POST", "/v1/inject", fmt.Sprintf(`{"link":%d,"cause":"oxidation"}`, id), http.StatusOK, ""},
-		{"malformed JSON", "POST", "/v1/plan", `{"link":`, http.StatusBadRequest, "unexpected end"},
-		{"trailing data", "POST", "/v1/plan", `{"link":0} {}`, http.StatusBadRequest, "invalid character"},
-		{"body over the bound", "POST", "/v1/plan", long, http.StatusBadRequest, "too large"},
-		{"unknown call", "GET", "/v1/teleport", "", http.StatusNotFound, ""},
-		{"POST to a read", "POST", "/v1/capabilities", "{}", http.StatusMethodNotAllowed, ""},
-		{"GET of a call", "GET", "/v1/plan", "", http.StatusMethodNotAllowed, ""},
-		{"link -1", "POST", "/v1/inject", `{"link":-1,"cause":"oxidation"}`, http.StatusUnprocessableEntity, "link -1 out of range"},
-		{"bad end", "POST", "/v1/execute", `{"link":0,"end":"Q","action":"reseat"}`, http.StatusUnprocessableEntity, `bad end "Q"`},
+		{"health", "GET", "/v1/health", "", http.StatusOK, "", `"down":[],"flapping":[]`},
+		{"infeasible plan", "POST", "/v1/plan", `{"link":0,"end":"A","action":"replace-cable"}`, http.StatusOK, "", `"cables_at_risk":[]`},
+		{"inject", "POST", "/v1/inject", fmt.Sprintf(`{"link":%d,"cause":"oxidation"}`, id), http.StatusOK, "", ""},
+		{"malformed JSON", "POST", "/v1/plan", `{"link":`, http.StatusBadRequest, "unexpected end", ""},
+		{"trailing data", "POST", "/v1/plan", `{"link":0} {}`, http.StatusBadRequest, "invalid character", ""},
+		{"body over the bound", "POST", "/v1/plan", long, http.StatusBadRequest, "too large", ""},
+		{"unknown call", "GET", "/v1/teleport", "", http.StatusNotFound, "", ""},
+		{"POST to a read", "POST", "/v1/capabilities", "{}", http.StatusMethodNotAllowed, "", ""},
+		{"GET of a call", "GET", "/v1/plan", "", http.StatusMethodNotAllowed, "", ""},
+		{"link -1", "POST", "/v1/inject", `{"link":-1,"cause":"oxidation"}`, http.StatusUnprocessableEntity, "link -1 out of range", ""},
+		{"bad end", "POST", "/v1/execute", `{"link":0,"end":"Q","action":"reseat"}`, http.StatusUnprocessableEntity, `bad end "Q"`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -329,8 +331,8 @@ func TestHandlerStatuses(t *testing.T) {
 				t.Fatalf("%s %s = %d %s, want %d", tc.method, tc.path, resp.StatusCode, body, tc.want)
 			}
 			var obj map[string]any
-			if tc.want == http.StatusOK && json.Unmarshal(body, &obj) != nil {
-				t.Fatalf("200 body %s is not a JSON object", body)
+			if tc.want == http.StatusOK && (json.Unmarshal(body, &obj) != nil || !strings.Contains(string(body), tc.has)) {
+				t.Fatalf("200 body %s is not a JSON object containing %s", body, tc.has)
 			}
 			if tc.errText == "" {
 				return
