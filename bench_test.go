@@ -344,9 +344,12 @@ func BenchmarkRouterDrainBurst(b *testing.B) {
 // sample on a fat-tree k=12 at 1,000 Gbps, cold and warm, and the
 // topology-design Jellyfish (n=20, r=8, 8 hosts per switch) warm at full
 // host injection, where the share changes from one source pair to the next.
-// Every host of these fabrics is single-homed, so its switch is its root: 20
-// roots serve the xpander's 160 host destinations and the Jellyfish's 160,
-// and 72 the fat-tree's 432.
+// The availability-* sub-benchmarks time Router.Availability on the same
+// fabrics and matrices: the hall sample, which the load bound answers
+// without link loads, and the Jellyfish at full injection, where the bound
+// rejects and EvaluateInto runs after it. Every host of these fabrics is
+// single-homed, so its switch is its root: 20 roots serve the xpander's 160
+// host destinations and the Jellyfish's 160, and 72 the fat-tree's 432.
 func BenchmarkUniformEvaluate(b *testing.B) {
 	net, err := topology.NewXpander(topology.XpanderConfig{
 		Degree: 9, Lift: 2, HostsPerSwitch: 8,
@@ -356,7 +359,7 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	tm := fullInjection(net)
-	b.Run("cold", func(b *testing.B) { benchCold(b, net, tm) })
+	b.Run("cold", func(b *testing.B) { benchCold(b, net, tm, evaluateInto) })
 	b.Run("drain-sweep-step", func(b *testing.B) {
 		r := routing.NewRouter(net, nil)
 		var ws routing.Workspace
@@ -371,14 +374,16 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 			_ = r.EvaluateInto(&ws, tm)
 		}
 	})
-	b.Run("warm", func(b *testing.B) { benchWarm(b, net, tm) })
+	b.Run("warm", func(b *testing.B) { benchWarm(b, net, tm, evaluateInto) })
 	ft, err := topology.NewFatTree(topology.DefaultFatTree(12))
 	if err != nil {
 		b.Fatal(err)
 	}
 	ftm := routing.UniformMatrix(ft, 1000)
-	b.Run("cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm) })
-	b.Run("warm-fattree-k12", func(b *testing.B) { benchWarm(b, ft, ftm) })
+	b.Run("cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm, evaluateInto) })
+	b.Run("warm-fattree-k12", func(b *testing.B) { benchWarm(b, ft, ftm, evaluateInto) })
+	b.Run("availability-cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm, availability) })
+	b.Run("availability-warm-fattree-k12", func(b *testing.B) { benchWarm(b, ft, ftm, availability) })
 	jf, err := topology.NewJellyfish(topology.JellyfishConfig{
 		Switches: 20, FabricDegree: 8, HostsPerSwitch: 8,
 		FabricGbps: 100, HostGbps: 100, Seed: 3,
@@ -386,7 +391,21 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("warm-jellyfish", func(b *testing.B) { benchWarm(b, jf, fullInjection(jf)) })
+	jtm := fullInjection(jf)
+	b.Run("warm-jellyfish", func(b *testing.B) { benchWarm(b, jf, jtm, evaluateInto) })
+	b.Run("availability-warm-jellyfish", func(b *testing.B) { benchWarm(b, jf, jtm, availability) })
+}
+
+// assess is one way to sample a matrix: a full evaluation, or the
+// satisfied fraction alone.
+type assess func(r *routing.Router, ws *routing.Workspace, tm routing.TrafficMatrix)
+
+func evaluateInto(r *routing.Router, ws *routing.Workspace, tm routing.TrafficMatrix) {
+	_ = r.EvaluateInto(ws, tm)
+}
+
+func availability(r *routing.Router, ws *routing.Workspace, tm routing.TrafficMatrix) {
+	_ = r.Availability(ws, tm)
 }
 
 // fullInjection is the uniform matrix that offers every host link's
@@ -403,25 +422,25 @@ func fullInjection(net *topology.Network) routing.TrafficMatrix {
 	return routing.UniformMatrix(net, offered)
 }
 
-// benchWarm evaluates tm repeatedly on an unchanged fabric through one
-// workspace, after a first evaluation has built every root's structure.
-func benchWarm(b *testing.B, net *topology.Network, tm routing.TrafficMatrix) {
+// benchWarm assesses tm repeatedly on an unchanged fabric through one
+// workspace, after a first assessment has built every root's structure.
+func benchWarm(b *testing.B, net *topology.Network, tm routing.TrafficMatrix, eval assess) {
 	r := routing.NewRouter(net, nil)
 	var ws routing.Workspace
-	r.EvaluateInto(&ws, tm)
+	eval(r, &ws, tm)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = r.EvaluateInto(&ws, tm)
+		eval(r, &ws, tm)
 	}
 }
 
-// benchCold evaluates tm with every root's structure rebuilt on recycled
+// benchCold assesses tm with every root's structure rebuilt on recycled
 // arenas. Each iteration moves one drain around three host links (drain the
 // next, undrain the previous): a host link is tight toward every root, so
 // every root's structure is displaced, and with three links no subgraph
 // recurs while the one-slot shelf still holds it — nothing is restored.
-func benchCold(b *testing.B, net *topology.Network, tm routing.TrafficMatrix) {
+func benchCold(b *testing.B, net *topology.Network, tm routing.TrafficMatrix, eval assess) {
 	hosts := net.Hosts()
 	var ring [3]topology.LinkID
 	for i := range ring {
@@ -432,7 +451,7 @@ func benchCold(b *testing.B, net *topology.Network, tm routing.TrafficMatrix) {
 	move := func(i int) {
 		r.Drain(ring[(i+1)%3])
 		r.Undrain(ring[i%3])
-		_ = r.EvaluateInto(&ws, tm)
+		eval(r, &ws, tm)
 	}
 	r.Drain(ring[0])
 	for i := 0; i < 3; i++ {

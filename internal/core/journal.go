@@ -70,24 +70,35 @@ type JournalEntry struct {
 // an operator tails to understand what the control plane is doing and why —
 // the observability face of the paper's "controllable and understood by the
 // software service" requirement (§2).
+//
+// The ring grows on demand: entries are appended, in capacities that double
+// up to journalCap, until journalCap are held; from then on each entry
+// overwrites the oldest, at next. A world that takes few decisions holds a
+// few, not a 4,096-entry ring.
 type journal struct {
 	entries []JournalEntry
-	next    int
+	next    int // the oldest entry's slot, once full
 	full    bool
 }
 
 const journalCap = 4096
 
 func (j *journal) add(e JournalEntry) {
-	if cap(j.entries) == 0 {
-		j.entries = make([]JournalEntry, journalCap)
+	if j.full {
+		j.entries[j.next] = e
+		j.next++
+		if j.next == journalCap {
+			j.next = 0
+		}
+		return
 	}
-	j.entries[j.next] = e
-	j.next++
-	if j.next == len(j.entries) {
-		j.next = 0
-		j.full = true
+	if len(j.entries) == cap(j.entries) {
+		grown := make([]JournalEntry, len(j.entries), min(max(2*cap(j.entries), 16), journalCap))
+		copy(grown, j.entries)
+		j.entries = grown
 	}
+	j.entries = append(j.entries, e)
+	j.full = len(j.entries) == journalCap
 }
 
 // tail returns up to n most recent entries, oldest first.
@@ -97,7 +108,7 @@ func (j *journal) tail(n int) []JournalEntry {
 		all = append(all, j.entries[j.next:]...)
 		all = append(all, j.entries[:j.next]...)
 	} else {
-		all = j.entries[:j.next]
+		all = j.entries
 	}
 	if n > 0 && len(all) > n {
 		all = all[len(all)-n:]

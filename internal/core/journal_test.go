@@ -68,6 +68,35 @@ func TestJournalTruncatesAtCapacity(t *testing.T) {
 	}
 }
 
+// TestJournalGrowsOnDemand: a journal holds what it took, not a whole
+// ring. After 10 decisions its capacity is below journalCap; after
+// journalCap+10 it holds exactly journalCap entries, the last ones, in
+// order.
+func TestJournalGrowsOnDemand(t *testing.T) {
+	var j journal
+	for i := 0; i < 10; i++ {
+		j.add(entry(i))
+	}
+	if c := cap(j.entries); c >= journalCap {
+		t.Fatalf("after 10 decisions the ring has capacity %d, want < %d", c, journalCap)
+	}
+	for i := 10; i < journalCap+10; i++ {
+		j.add(entry(i))
+	}
+	if c := cap(j.entries); c != journalCap {
+		t.Fatalf("full ring has capacity %d, want %d", c, journalCap)
+	}
+	all := j.tail(0)
+	if len(all) != journalCap {
+		t.Fatalf("tail(0) = %d entries, want %d", len(all), journalCap)
+	}
+	for i, e := range all {
+		if e.Ticket != 10+i {
+			t.Fatalf("tail(0)[%d].Ticket = %d, want %d", i, e.Ticket, 10+i)
+		}
+	}
+}
+
 // TestJournalTailAtExactCapacity covers the boundary where add has filled
 // every slot and reset next to 0: the ring is full but nothing has been
 // overwritten yet, and tail must not drop or duplicate the entry at the

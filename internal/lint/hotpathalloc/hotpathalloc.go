@@ -74,7 +74,7 @@ func collect(pkg *facts.PkgInfo) []facts.Origin {
 			c := &checker{info: pkg.Info, params: paramObjs(pkg.Info, fd), emit: func(s site) {
 				out = append(out, facts.Origin{Kind: facts.Allocates, Pos: s.pos, Desc: s.desc})
 			}}
-			c.check(fd.Body, 0)
+			c.check(fd.Body)
 		}
 	}
 	return out
@@ -90,7 +90,7 @@ func run(pass *analysis.Pass) (any, error) {
 			c := &checker{info: pass.TypesInfo, params: paramObjs(pass.TypesInfo, fd), emit: func(s site) {
 				pass.Reportf(s.pos, "%s", s.msg)
 			}}
-			c.check(fd.Body, 0)
+			c.check(fd.Body)
 			reportTransitive(pass, fd.Body)
 		}
 	}
@@ -152,71 +152,81 @@ func paramObjs(info *types.Info, fd *ast.FuncDecl) map[types.Object]bool {
 }
 
 // checker walks one function body tracking loop nesting and the loop
-// variables currently in scope, emitting each detected allocation site.
+// variables currently in scope, emitting each detected allocation site. It
+// is the body's ast.Visitor: one walk visits every node, in ast.Walk's
+// order, with no slice or closure per node.
 type checker struct {
 	info     *types.Info
 	params   map[types.Object]bool
 	emit     func(site)
 	loopVars []types.Object
+	depth    int // loops enclosing the node being visited
 }
 
-// check visits stmts at the given loop depth. It recurses manually rather
-// than via ast.Inspect so it can track where loops begin.
-func (c *checker) check(n ast.Node, depth int) {
+// check walks n at the current loop depth.
+func (c *checker) check(n ast.Node) {
+	if n != nil {
+		ast.Walk(c, n)
+	}
+}
+
+// Visit checks one node. Loops and &T{...} literals walk their parts
+// themselves, to track where loops begin and to skip the literal's type;
+// every other node lets ast.Walk descend into its children.
+func (c *checker) Visit(n ast.Node) ast.Visitor {
 	switch n := n.(type) {
-	case nil:
-		return
 	case *ast.ForStmt:
-		c.check(n.Init, depth)
+		c.check(n.Init)
 		mark := len(c.loopVars)
 		c.noteLoopVars(n.Init)
-		c.check(n.Cond, depth+1)
-		c.check(n.Post, depth+1)
-		c.check(n.Body, depth+1)
+		c.depth++
+		c.check(n.Cond)
+		c.check(n.Post)
+		c.check(n.Body)
+		c.depth--
 		c.loopVars = c.loopVars[:mark]
-		return
+		return nil
 	case *ast.RangeStmt:
-		c.check(n.X, depth)
+		c.check(n.X)
 		mark := len(c.loopVars)
-		for _, e := range []ast.Expr{n.Key, n.Value} {
+		for _, e := range [2]ast.Expr{n.Key, n.Value} {
 			if id, ok := e.(*ast.Ident); ok {
 				if obj := c.info.Defs[id]; obj != nil {
 					c.loopVars = append(c.loopVars, obj)
 				}
 			}
 		}
-		c.check(n.Body, depth+1)
+		c.depth++
+		c.check(n.Body)
+		c.depth--
 		c.loopVars = c.loopVars[:mark]
-		return
+		return nil
 	case *ast.CallExpr:
-		c.checkCall(n, depth)
+		c.checkCall(n)
 	case *ast.CompositeLit:
 		c.checkComposite(n, false)
 	case *ast.UnaryExpr:
 		if lit, ok := n.X.(*ast.CompositeLit); ok {
 			c.checkComposite(lit, true)
-			// Recurse into the literal's elements only.
+			// Walk the literal's elements only.
 			for _, e := range lit.Elts {
-				c.check(e, depth)
+				c.check(e)
 			}
-			return
+			return nil
 		}
 	case *ast.BinaryExpr:
-		c.checkStringConcat(n, depth)
+		c.checkStringConcat(n)
 	case *ast.AssignStmt:
-		c.checkStringConcatAssign(n, depth)
+		c.checkStringConcatAssign(n)
 	case *ast.FuncLit:
-		c.checkClosure(n, depth)
+		c.checkClosure(n)
 		// Statements inside the literal run when it is called; allocation
 		// sites in there still execute on the hot path, so keep walking.
 	}
-	// Generic recursion over children.
-	for _, child := range children(n) {
-		c.check(child, depth)
-	}
+	return c
 }
 
-func (c *checker) checkCall(call *ast.CallExpr, depth int) {
+func (c *checker) checkCall(call *ast.CallExpr) {
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
 		if b, ok := c.info.Uses[fun].(*types.Builtin); ok {
@@ -226,7 +236,7 @@ func (c *checker) checkCall(call *ast.CallExpr, depth int) {
 			case "new":
 				c.emit(site{call.Pos(), "new", "new allocates in a //selfmaint:hotpath function; reuse a retained struct or free list"})
 			case "append":
-				c.checkAppend(call, depth)
+				c.checkAppend(call)
 			}
 		}
 	case *ast.SelectorExpr:
@@ -241,8 +251,8 @@ func (c *checker) checkCall(call *ast.CallExpr, depth int) {
 // checkAppend flags append-in-loop when the destination is not a parameter:
 // growing a local or a field per loop iteration is an allocation treadmill,
 // while appending into a caller-provided buffer is the reuse pattern.
-func (c *checker) checkAppend(call *ast.CallExpr, depth int) {
-	if depth == 0 || len(call.Args) == 0 {
+func (c *checker) checkAppend(call *ast.CallExpr) {
+	if c.depth == 0 || len(call.Args) == 0 {
 		return
 	}
 	if id, ok := call.Args[0].(*ast.Ident); ok {
@@ -274,8 +284,8 @@ func (c *checker) checkComposite(lit *ast.CompositeLit, addressed bool) {
 	}
 }
 
-func (c *checker) checkStringConcat(b *ast.BinaryExpr, depth int) {
-	if depth == 0 || b.Op != token.ADD {
+func (c *checker) checkStringConcat(b *ast.BinaryExpr) {
+	if c.depth == 0 || b.Op != token.ADD {
 		return
 	}
 	if t := c.info.TypeOf(b); t != nil {
@@ -286,8 +296,8 @@ func (c *checker) checkStringConcat(b *ast.BinaryExpr, depth int) {
 	}
 }
 
-func (c *checker) checkStringConcatAssign(a *ast.AssignStmt, depth int) {
-	if depth == 0 || a.Tok != token.ADD_ASSIGN || len(a.Lhs) != 1 {
+func (c *checker) checkStringConcatAssign(a *ast.AssignStmt) {
+	if c.depth == 0 || a.Tok != token.ADD_ASSIGN || len(a.Lhs) != 1 {
 		return
 	}
 	if t := c.info.TypeOf(a.Lhs[0]); t != nil {
@@ -300,8 +310,8 @@ func (c *checker) checkStringConcatAssign(a *ast.AssignStmt, depth int) {
 
 // checkClosure flags func literals in a loop that capture a loop variable:
 // the capture forces a per-iteration heap allocation.
-func (c *checker) checkClosure(lit *ast.FuncLit, depth int) {
-	if depth == 0 || len(c.loopVars) == 0 {
+func (c *checker) checkClosure(lit *ast.FuncLit) {
+	if c.depth == 0 || len(c.loopVars) == 0 {
 		return
 	}
 	captured := ""
@@ -339,27 +349,4 @@ func (c *checker) noteLoopVars(init ast.Stmt) {
 			}
 		}
 	}
-}
-
-// children returns the immediate AST children of n, for the generic
-// recursion in check. ast.Inspect cannot be used directly because the
-// walk needs loop-depth context, so this enumerates via ast.Inspect one
-// level deep.
-func children(n ast.Node) []ast.Node {
-	if n == nil {
-		return nil
-	}
-	var out []ast.Node
-	first := true
-	ast.Inspect(n, func(child ast.Node) bool {
-		if first {
-			first = false
-			return true
-		}
-		if child != nil {
-			out = append(out, child)
-		}
-		return false
-	})
-	return out
 }

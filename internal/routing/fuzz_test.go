@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -61,8 +62,12 @@ func fuzzInput(drains []topology.LinkID, demands ...fuzzDemand) []byte {
 // specification on arbitrary small matrices: up to 4 drained links and up
 // to 64 demands between any devices of the k=4 fat-tree, at rates that fit
 // and rates that overload. The Assessment must equal referenceEvaluate over
-// the spec paths exactly. The seeds cover the uniform order, a run whose
-// rate changes, a self-pair inside a run and a duplicated demand.
+// the spec paths exactly, and Availability, on a fresh router and on the
+// same router after EvaluateInto, must return the reference's availability
+// bit for bit; the rates put matrices below, at and above capacity, so
+// both the bound's answer and its fallback are fuzzed. The seeds cover the
+// uniform order, a run whose rate changes, a self-pair inside a run and a
+// duplicated demand.
 func FuzzEvaluateMatchesSpec(f *testing.F) {
 	net := buildTopo(f, "fattree")
 	hosts := net.Hosts()
@@ -96,14 +101,22 @@ func FuzzEvaluateMatchesSpec(f *testing.F) {
 		if len(tm.Demands) == 0 {
 			return
 		}
-		r := NewRouter(net, nil)
+		r, fresh := NewRouter(net, nil), NewRouter(net, nil)
 		for _, id := range drains {
 			r.Drain(id)
+			fresh.Drain(id)
 		}
-		var ws Workspace
+		var ws, freshWS Workspace
+		first := fresh.Availability(&freshWS, tm)
 		got := r.EvaluateInto(&ws, tm)
-		if want := referenceEvaluate(net, tm, specMatrixPaths(r, tm)); !reflect.DeepEqual(got, want) {
+		want := referenceEvaluate(net, tm, specMatrixPaths(r, tm))
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("drains %v, demands %v: engine %v != per-pair reference %v", drains, tm.Demands, got, want)
+		}
+		bits := math.Float64bits(want.Availability())
+		if after := r.Availability(&ws, tm); math.Float64bits(first) != bits || math.Float64bits(after) != bits {
+			t.Fatalf("drains %v, demands %v: Availability %v on a fresh router, %v after EvaluateInto, reference %v",
+				drains, tm.Demands, first, after, want.Availability())
 		}
 	})
 }

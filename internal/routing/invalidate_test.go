@@ -50,7 +50,12 @@ func drainedCount(r *Router) int {
 // the four studied topology families take bursts of 1–5 transitions on any
 // link (the shape of a pre-drain impact set, host links included). After
 // every single transition each cached distance field must be exact: equal to
-// a fresh BFS, with a tight bitset equal to topology.ShortestPathLinks.
+// a fresh BFS, with a tight bitset equal to topology.ShortestPathLinks. No
+// transition may run a BFS: right after one that advanced the epoch, no
+// cached field carries the new epoch's stamp. Each burst sequence must drain
+// a host link while fields are cached — a host link is tight toward every
+// switch root, and its host loses its only next hop, so such a drain is the
+// transition that would recompute fields if any did.
 func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 	type fabricCase struct {
 		name  string
@@ -75,6 +80,7 @@ func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 		ref := NewRouter(c.net, health)
 		tm := UniformMatrix(c.net, 700)
 		rng := rand.New(rand.NewPCG(c.seed, 0x1f1a9))
+		hostDrains := 0
 		for step := 0; step < 50; step++ {
 			burst := 1
 			if c.burst {
@@ -82,6 +88,7 @@ func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 			}
 			for j := 0; j < burst; j++ {
 				l := c.links[rng.IntN(len(c.links))]
+				epoch, cached := inc.Epoch(), inc.fields
 				switch rng.IntN(4) {
 				case 0: // fault onset or flap-down
 					down[l.ID] = true
@@ -92,11 +99,22 @@ func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 				case 2:
 					inc.Drain(l.ID)
 					ref.Drain(l.ID)
+					if cached > 0 && inc.Epoch() != epoch && !(l.A.Device.Kind.IsSwitch() && l.B.Device.Kind.IsSwitch()) {
+						hostDrains++
+					}
 				case 3:
 					inc.Undrain(l.ID)
 					ref.Undrain(l.ID)
 				}
-				checkFieldsExact(t, inc, fmt.Sprintf("%s step %d transition %d", c.name, step, j))
+				ctx := fmt.Sprintf("%s step %d transition %d", c.name, step, j)
+				checkFieldsExact(t, inc, ctx)
+				if inc.Epoch() != epoch {
+					for i, e := range inc.distCache {
+						if e.dist != nil && e.stamp == inc.Epoch() {
+							t.Fatalf("%s: the transition recomputed the field toward device %d", ctx, i)
+						}
+					}
+				}
 			}
 			ref.Invalidate() // the reference router always full-flushes
 			a, b := evaluate(inc, tm), evaluate(ref, tm)
@@ -107,6 +125,9 @@ func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 				t.Fatalf("%s step %d: drained count %d != %d",
 					c.name, step, drainedCount(inc), drainedCount(ref))
 			}
+		}
+		if c.burst && hostDrains == 0 {
+			t.Fatalf("%s: no host link was drained while fields were cached", c.name)
 		}
 	}
 }
@@ -304,8 +325,8 @@ func TestHotpathFunctionsSteadyStateZeroAlloc(t *testing.T) {
 }
 
 // The invalidation path allocates nothing once warm: a drain → undrain
-// cycle of a fabric link repairs or recomputes distance fields in place, and
-// refilling the roots' fields the undrain evicted serves from the free list.
+// cycle of a fabric link repairs distance fields in place or evicts them,
+// and refilling the evicted fields serves from the free list.
 func TestDrainUndrainCycleZeroAlloc(t *testing.T) {
 	net := buildTopo(t, "fattree")
 	r := NewRouter(net, nil)
@@ -321,15 +342,10 @@ func TestDrainUndrainCycleZeroAlloc(t *testing.T) {
 			r.distEntryFor(root)
 		}
 	}
+	cached := r.fields
 	r.Drain(l.ID)
-	recomputed := 0
-	for _, e := range r.distCache {
-		if e.dist != nil && e.stamp == r.Epoch() {
-			recomputed++
-		}
-	}
-	if recomputed == 0 {
-		t.Fatal("draining the link recomputed no distance field; the cycle would miss the BFS path")
+	if r.fields >= cached {
+		t.Fatal("draining the link evicted no distance field; the cycle would miss the refill path")
 	}
 	r.Undrain(l.ID)
 	cycle()

@@ -36,11 +36,21 @@
 // A link leaving the usable subgraph touches only the fields whose bitset
 // holds it, and most of those are settled by an exact O(degree) test: if
 // the link's farther endpoint keeps another next hop, no distance changes.
-// A BFS runs only when that endpoint lost its last one. A link joining the
-// subgraph is resolved from its two endpoint distances per field. Every
-// field whose ECMP DAG changes shelves its root's structure; the rest are
-// validated lazily against epoch stamps. Invalidate remains as the
-// full-flush fallback for bulk edits.
+// A field whose endpoint lost its last one is evicted, not recomputed. A
+// link joining the subgraph is resolved from its two endpoint distances per
+// field, and a field it shortens is evicted too. So no link transition runs
+// a BFS: an evicted field is recomputed once, by the next evaluation that
+// needs it, however many transitions came between. Every field whose ECMP
+// DAG changes shelves its root's structure; the rest are validated lazily
+// against epoch stamps. Invalidate remains as the full-flush fallback for
+// bulk edits.
+//
+// Availability answers the one question the daily samples ask, the
+// satisfied fraction, with EvaluateInto's bits. One pass over the runs sums
+// the totals of the no-overload branch and an upper bound on every link's
+// load; when the bound keeps every link within capacity, that branch is
+// provably the one EvaluateInto takes, and no load is computed. Otherwise
+// it falls back to EvaluateInto (availability.go).
 //
 // Traversals — root resolution, BFS, the tight-link bitsets and
 // destination-rooted builds — read a usability snapshot, never HealthFn.
@@ -82,10 +92,10 @@ type Router struct {
 
 	// distCache holds each root's distance field and tight-link bitset,
 	// indexed by DeviceID. Every cached field is exact for the current
-	// snapshot: transitions repair or evict fields eagerly, and only root
-	// structures go stale lazily. fields counts the occupied slots: while it
-	// is zero (a router never evaluated, like a fleet region's) transitions
-	// skip the slot scan.
+	// snapshot: transitions repair or evict fields eagerly, never
+	// recomputing one, and only root structures go stale lazily. fields
+	// counts the occupied slots: while it is zero (a router never
+	// evaluated, like a fleet region's) transitions skip the slot scan.
 	distCache []distEntry
 	fields    int
 	// lastUsable snapshots each link's usability as of the last (in)validation.
@@ -188,7 +198,8 @@ func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 //     a drain of an already-down link), nothing is touched.
 //   - If the link left the usable subgraph, only destinations whose tight
 //     bitset holds it can change. An O(degree) test proves most of those
-//     fields unchanged (ECMP redundancy); the rest are recomputed.
+//     fields unchanged (ECMP redundancy); the rest are evicted, and the next
+//     evaluation that needs one recomputes it.
 //   - If the link joined the subgraph, a destination's field changes only if
 //     the link bridges devices the field ranks ≥2 apart (an edge between
 //     equidistant devices can never lie on a shortest path; one bridging a
@@ -196,7 +207,9 @@ func (r *Router) Epoch() uint64 { return r.cacheEpoch }
 //     edge joins the ECMP DAG and the field's tight bitset.
 //
 // Either way, every root whose ECMP DAG may have changed shelves its
-// destination-rooted structure; it is restored or rebuilt on next use.
+// destination-rooted structure; it is restored or rebuilt on next use. No
+// transition runs a BFS, so a field is recomputed at most once between two
+// evaluations, however many transitions evicted it.
 func (r *Router) InvalidateLink(id topology.LinkID) {
 	l := r.net.Links[id]
 	u := r.Usable(l)
@@ -217,7 +230,9 @@ func (r *Router) InvalidateLink(id topology.LinkID) {
 // ascending ID order; each field holding l as tight shelves its root's
 // structure (its DAG lost an edge) and then either keeps its distances and
 // stamp — dropping only l's tight bit — or, when l's farther endpoint lost
-// its last next hop, is recomputed in place under a fresh stamp.
+// its last next hop, is evicted. Nothing reads a field between two
+// evaluations, so distEntryFor recomputes it when the next one needs it,
+// once, under that evaluation's epoch.
 //
 //selfmaint:hotpath
 func (r *Router) linkDown(l *topology.Link) {
@@ -240,9 +255,8 @@ func (r *Router) linkDown(l *topology.Link) {
 			e.tight[id>>6] &^= 1 << (id & 63) // distances and stamp stand
 			continue
 		}
-		// far's distance grows, so the field changes: recompute it in place
-		// under a new stamp.
-		r.computeField(root, e)
+		// far's distance grows, so the field changes: evict it.
+		r.evictDist(root)
 	}
 }
 
@@ -427,13 +441,21 @@ func (a Assessment) String() string {
 // Workspace holds the scratch buffers one traffic-matrix evaluation needs.
 // A zero Workspace is ready to use; buffers grow to the fabric and matrix
 // size on first evaluation and are retained, so steady-state assessment
-// through EvaluateInto allocates nothing. A Workspace must not be shared
-// across goroutines.
+// through EvaluateInto or Availability allocates nothing. Availability
+// counts as an evaluation: it reuses the buffers an earlier Assessment's
+// slices alias. A Workspace must not be shared across goroutines.
 type Workspace struct {
 	perDemand []float64
-	linkLoad  []float64
+	linkLoad  []float64 // EvaluateInto's loads; Availability's load bound
 	over      []float64
 	runEnds   []int32 // the end of each run of the matrix, in order
+
+	// Availability's (root, next hop) sums: row i holds, for the i-th root
+	// the call met, the summed m·share of the runs entering each device
+	// toward that root. rowOf maps a root to its row plus one (0: none).
+	// Both are all zero between calls.
+	enters []float64
+	rowOf  []int32
 }
 
 // EvaluateInto routes the matrix over the usable subgraph: each demand
@@ -556,10 +578,7 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 		}
 		share := run[0].Gbps / float64(n)
 		if as.MaxUtil <= 1 {
-			achieved := 0.0
-			for range n {
-				achieved += share // every bottleneck factor is 1
-			}
+			achieved := uncongested(share, n)
 			satisfied.add(achieved, len(run))
 			frac := achieved / run[0].Gbps
 			for j := range per {
@@ -597,6 +616,20 @@ func (r *Router) EvaluateInto(ws *Workspace, tm TrafficMatrix) Assessment {
 	}
 	as.SatisfiedGbps = satisfied.sum()
 	return as
+}
+
+// uncongested is a demand's achieved rate when no link is overloaded: every
+// path's bottleneck factor is 1, so it is the share added once per path, n
+// times. EvaluateInto's no-overload branch and Availability both take it
+// from here.
+//
+//selfmaint:hotpath
+func uncongested(share float64, n int32) float64 {
+	achieved := 0.0
+	for range n {
+		achieved += share
+	}
+	return achieved
 }
 
 // addTails adds each demand's share n times to its tail, the last link of

@@ -320,7 +320,9 @@ func (c *Cluster) TicketLog() []string {
 }
 
 // Availability evaluates a uniform traffic matrix of the given total load
-// (Gbps) and returns the satisfied fraction right now.
+// (Gbps) and returns the satisfied fraction right now. A load that provably
+// overloads no link is answered without computing link loads; the result
+// is the same either way.
 func (c *Cluster) Availability(totalGbps float64) float64 {
 	return c.w.TrafficAvailability(routing.UniformMatrix(c.w.Net, totalGbps))
 }
