@@ -347,9 +347,12 @@ func BenchmarkRouterDrainBurst(b *testing.B) {
 // The availability-* sub-benchmarks time Router.Availability on the same
 // fabrics and matrices: the hall sample, which the load bound answers
 // without link loads, and the Jellyfish at full injection, where the bound
-// rejects and EvaluateInto runs after it. Every host of these fabrics is
-// single-homed, so its switch is its root: 20 roots serve the xpander's 160
-// host destinations and the Jellyfish's 160, and 72 the fat-tree's 432.
+// rejects and EvaluateInto runs after it. availability-hostflap-fattree-k12
+// moves a drain around three host links before each sample: a host is a
+// stub, so the move displaces no switch root and the sample costs about a
+// warm one. Every host of these fabrics is single-homed, so its switch is
+// its root: 20 roots serve the xpander's 160 host destinations and the
+// Jellyfish's 160, and 72 the fat-tree's 432.
 func BenchmarkUniformEvaluate(b *testing.B) {
 	net, err := topology.NewXpander(topology.XpanderConfig{
 		Degree: 9, Lift: 2, HostsPerSwitch: 8,
@@ -359,7 +362,13 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	tm := fullInjection(net)
-	b.Run("cold", func(b *testing.B) { benchCold(b, net, tm, evaluateInto) })
+	xf := net.SwitchLinks()
+	// Moving a drain around these three fabric links rebuilds all 20
+	// roots in every move: checked by counting the structures each
+	// evaluation of the ring rebuilt. No single link is tight toward every
+	// root of this build, and the first three fabric links rebuild 12–16.
+	xring := [3]topology.LinkID{xf[0].ID, xf[22].ID, xf[58].ID}
+	b.Run("cold", func(b *testing.B) { benchMoves(b, net, tm, xring, evaluateInto) })
 	b.Run("drain-sweep-step", func(b *testing.B) {
 		r := routing.NewRouter(net, nil)
 		var ws routing.Workspace
@@ -380,10 +389,16 @@ func BenchmarkUniformEvaluate(b *testing.B) {
 		b.Fatal(err)
 	}
 	ftm := routing.UniformMatrix(ft, 1000)
-	b.Run("cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm, evaluateInto) })
+	// Every fabric link of a fat-tree is tight toward every edge switch, so
+	// each move of a drain around three of them rebuilds all 72 roots.
+	ff, hosts := ft.SwitchLinks(), ft.Hosts()
+	fring := [3]topology.LinkID{ff[0].ID, ff[1].ID, ff[2].ID}
+	hring := [3]topology.LinkID{hosts[0].Ports[0].Link.ID, hosts[1].Ports[0].Link.ID, hosts[2].Ports[0].Link.ID}
+	b.Run("cold-fattree-k12", func(b *testing.B) { benchMoves(b, ft, ftm, fring, evaluateInto) })
 	b.Run("warm-fattree-k12", func(b *testing.B) { benchWarm(b, ft, ftm, evaluateInto) })
-	b.Run("availability-cold-fattree-k12", func(b *testing.B) { benchCold(b, ft, ftm, availability) })
+	b.Run("availability-cold-fattree-k12", func(b *testing.B) { benchMoves(b, ft, ftm, fring, availability) })
 	b.Run("availability-warm-fattree-k12", func(b *testing.B) { benchWarm(b, ft, ftm, availability) })
+	b.Run("availability-hostflap-fattree-k12", func(b *testing.B) { benchMoves(b, ft, ftm, hring, availability) })
 	jf, err := topology.NewJellyfish(topology.JellyfishConfig{
 		Switches: 20, FabricDegree: 8, HostsPerSwitch: 8,
 		FabricGbps: 100, HostGbps: 100, Seed: 3,
@@ -435,17 +450,11 @@ func benchWarm(b *testing.B, net *topology.Network, tm routing.TrafficMatrix, ev
 	}
 }
 
-// benchCold assesses tm with every root's structure rebuilt on recycled
-// arenas. Each iteration moves one drain around three host links (drain the
-// next, undrain the previous): a host link is tight toward every root, so
-// every root's structure is displaced, and with three links no subgraph
-// recurs while the one-slot shelf still holds it — nothing is restored.
-func benchCold(b *testing.B, net *topology.Network, tm routing.TrafficMatrix, eval assess) {
-	hosts := net.Hosts()
-	var ring [3]topology.LinkID
-	for i := range ring {
-		ring[i] = hosts[i].Ports[0].Link.ID
-	}
+// benchMoves assesses tm after each move of a drain around ring: drain the
+// next link, undrain the previous. With three links no subgraph recurs
+// while the one-slot shelf still holds it, so every root the two changed
+// links displace is rebuilt on recycled arenas, and nothing is restored.
+func benchMoves(b *testing.B, net *topology.Network, tm routing.TrafficMatrix, ring [3]topology.LinkID, eval assess) {
 	r := routing.NewRouter(net, nil)
 	var ws routing.Workspace
 	move := func(i int) {

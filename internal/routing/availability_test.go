@@ -104,13 +104,62 @@ func TestAvailabilityBoundCertifiesLightLoad(t *testing.T) {
 		tm      TrafficMatrix
 		certify bool
 	}{{light, true}, {full, false}} {
-		r.prepareDests(c.tm)
 		if _, ok := r.boundedAvailability(&ws, c.tm); ok != c.certify {
 			t.Fatalf("%.0f Gbps: bound certified %v, want %v", c.tm.TotalGbps(), ok, c.certify)
 		}
 		r.Availability(&ws, c.tm) // warm the fallback's buffers too
 		if allocs := testing.AllocsPerRun(50, func() { r.Availability(&ws, c.tm) }); allocs != 0 {
 			t.Fatalf("%.0f Gbps: warm Availability allocated %.1f/op, want 0", c.tm.TotalGbps(), allocs)
+		}
+	}
+}
+
+// The propagated load bound dominates the load pass. On the four studied
+// fabric families, and on a k=4 fat-tree whose fabric links are no faster
+// than its host links, at randomized drains of fabric and host links, the
+// bound the pass leaves in the workspace must be at least every link's
+// EvaluateInto load × (1 − 2^-40) at the light (2.5% of host injection) and
+// busy (45%) loads. At those loads no host link carries more than 90% of
+// its capacity, so the pass never stops early and the bound is whole; on
+// the thin fat-tree, drains overload fabric links, so the final check
+// rejects bounds that are complete. At every load, full injection included,
+// Availability must never certify a matrix whose MaxUtil exceeds 1.
+func TestAvailabilityBoundDominatesLoads(t *testing.T) {
+	thin, err := topology.NewFatTree(topology.FatTreeConfig{K: 4, FabricGbps: 100, HostGbps: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kind := range []string{"fattree", "leafspine", "jellyfish", "xpander", "fattree-thin"} {
+		net := thin
+		if kind != "fattree-thin" {
+			net = buildTopo(t, kind)
+		}
+		r := NewRouter(net, nil)
+		full := hostInjection(net)
+		rng := rand.New(rand.NewPCG(uint64(len(net.Links)), 0xb0d))
+		var bws, ews Workspace
+		for step := 0; step < 20; step++ {
+			for li, tm := range []TrafficMatrix{UniformMatrix(net, full/40), UniformMatrix(net, 0.45*full), UniformMatrix(net, full)} {
+				_, certified := r.boundedAvailability(&bws, tm)
+				a := r.EvaluateInto(&ews, tm)
+				if certified && a.MaxUtil > 1 {
+					t.Fatalf("%s step %d %.0f Gbps: bound certified a matrix with MaxUtil %v", kind, step, tm.TotalGbps(), a.MaxUtil)
+				}
+				if li == 2 {
+					continue // the pass may stop early
+				}
+				for id, load := range a.LinkLoad {
+					if b := bws.linkLoad[id]; b < load*(1-0x1p-40) {
+						t.Fatalf("%s step %d %.0f Gbps: link %d bound %v < load %v", kind, step, tm.TotalGbps(), id, b, load)
+					}
+				}
+			}
+			l := net.Links[rng.IntN(len(net.Links))]
+			if r.Drained(l.ID) {
+				r.Undrain(l.ID)
+			} else if drainedCount(r) < 6 {
+				r.Drain(l.ID)
+			}
 		}
 	}
 }

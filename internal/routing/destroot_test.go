@@ -2,6 +2,7 @@ package routing
 
 import (
 	"cmp"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"slices"
@@ -431,8 +432,9 @@ func TestDrainSweepWarmZeroAlloc(t *testing.T) {
 }
 
 // Per-function warm-allocation assertions for the engine's hot functions:
-// prepareDests on a fully valid matrix, resolveRoot, and buildDest into a
-// recycled destState must all be allocation-free.
+// the run walk on a fully valid matrix (with and without arenas),
+// resolveRoot, and buildRoot and materialize into a recycled destState, over
+// a cached field and over a fresh one, must all be allocation-free.
 func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	net := buildTopo(t, "leafspine")
 	r := NewRouter(net, nil)
@@ -440,8 +442,16 @@ func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	var ws Workspace
 	r.EvaluateInto(&ws, tm)
 
-	if allocs := testing.AllocsPerRun(50, func() { r.prepareDests(tm) }); allocs > 0 {
-		t.Fatalf("warm prepareDests allocated %.1f/op, want 0", allocs)
+	walk := func(arenas bool) {
+		r.destSeq++
+		for i := 0; i < len(tm.Demands); {
+			i = r.runEnd(tm.Demands, i, arenas)
+		}
+	}
+	for _, arenas := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(50, func() { walk(arenas) }); allocs > 0 {
+			t.Fatalf("warm run walk (arenas %v) allocated %.1f/op, want 0", arenas, allocs)
+		}
 	}
 
 	dst := tm.Demands[0].Dst
@@ -451,30 +461,161 @@ func TestDestRootedHotFunctionsZeroAlloc(t *testing.T) {
 	root, _ := r.resolveRoot(dst)
 	e := r.distEntryFor(root)
 	ds := r.destCur[root]
-	r.buildDest(ds, root, e) // size the builder scratch and arena
-	if allocs := testing.AllocsPerRun(50, func() { r.buildDest(ds, root, e) }); allocs > 0 {
-		t.Fatalf("buildDest into recycled state allocated %.1f/op, want 0", allocs)
+	build := func(fresh bool) {
+		r.buildRoot(e, root, fresh, ds)
+		r.materialize(ds)
+	}
+	build(true) // size the field's order, the draws and the arena
+	for _, fresh := range []bool{false, true} {
+		if allocs := testing.AllocsPerRun(50, func() { build(fresh) }); allocs > 0 {
+			t.Fatalf("buildRoot (fresh %v) and materialize into recycled state allocated %.1f/op, want 0", fresh, allocs)
+		}
 	}
 }
 
 // On a k=4 fat-tree, cross-pod hosts are joined by 2 aggs × 2 cores = 4
 // equal-cost paths of 6 links (host-edge-agg-core-agg-edge-host). The
 // destination host is single-homed, so its paths are its edge switch's
-// paths of 5 links followed by the host link as the tail.
+// paths of 5 links followed by the host link as the tail; the source host
+// is a stub, so its paths are its own link followed by its edge switch's 4
+// suffixes of 4 links.
 func TestFatTreeCrossPodEqualCostPaths(t *testing.T) {
 	net := buildTopo(t, "fattree")
 	r := NewRouter(net, nil)
 	hosts := net.Hosts()
 	d := Demand{Src: hosts[0].ID, Dst: hosts[len(hosts)-1].ID, Gbps: 1}
-	r.prepareDests(TrafficMatrix{Demands: []Demand{d}})
-	ds, tail, n := r.routeCount(d)
+	r.destSeq++
+	tail := r.current(d.Dst, true).tail
+	var one [1]draw
+	_, n, k, segs := r.paths(d, &one)
 	if n != 4 {
 		t.Fatalf("cross-pod equal-cost paths = %d, want 4", n)
 	}
 	if tail < 0 {
 		t.Fatal("single-homed destination resolved with no tail")
 	}
-	if k := ds.plen[d.Src] + 1; k != 6 {
-		t.Fatalf("cross-pod path length = %d, want 6", k)
+	if k+1 != 6 {
+		t.Fatalf("cross-pod path length = %d, want 6", k+1)
+	}
+	if len(segs) != 1 || segs[0].c != 4 {
+		t.Fatalf("stub source segments = %v, want one of 4 suffixes", segs)
+	}
+}
+
+// edgeCaseNet hand-builds the attachment cases the studied fabrics lack:
+// a dual-homed server, a server with two parallel links to one switch, two
+// servers joined only to each other (a stub pair), and a switch with a
+// single link, beside two single-homed servers. The three other switches
+// form a triangle, so some pairs have two equal-cost paths. Every link
+// carries 100 Gbps.
+func edgeCaseNet() *topology.Network {
+	n := topology.New("edge-cases")
+	dev := func(name string, kind topology.DeviceKind) *topology.Device {
+		return n.AddDevice(name, kind, topology.Location{Rack: len(n.Devices)}, 6)
+	}
+	link := func(a, b *topology.Device) {
+		n.Connect(n.FreePort(a), n.FreePort(b), topology.DAC, 100)
+	}
+	s1, s2 := dev("s1", topology.LeafSwitch), dev("s2", topology.LeafSwitch)
+	sp, lone := dev("sp", topology.SpineSwitch), dev("lone", topology.SpineSwitch)
+	dual, par := dev("dual", topology.Server), dev("par", topology.Server)
+	h1, h2 := dev("h1", topology.Server), dev("h2", topology.Server)
+	p1, p2 := dev("p1", topology.Server), dev("p2", topology.Server)
+	link(s1, sp)
+	link(s2, sp)
+	link(s1, s2)
+	link(lone, s2)
+	link(dual, s1)
+	link(dual, s2)
+	link(par, s1)
+	link(par, s1)
+	link(h1, s1)
+	link(h2, s2)
+	link(p1, p2)
+	return n
+}
+
+// checkStructures asserts that every valid current structure holds, for
+// each device of its order, the spec's path count and length toward its
+// root: as many suffixes as specPaths enumerates (one for the root itself)
+// and its BFS distance.
+func checkStructures(t *testing.T, r *Router, ctx string) {
+	t.Helper()
+	for i, ds := range r.destCur {
+		if ds == nil || r.distCache[i].dist == nil || ds.stamp != r.distCache[i].stamp {
+			continue
+		}
+		root := topology.DeviceID(i)
+		dist := specField(r, root)
+		for _, x := range ds.order {
+			want := int32(len(specPaths(r, dist, topology.DeviceID(x), root)))
+			if x == int32(root) {
+				want = 1
+			}
+			if n := ds.node[x]; n.count != want || int(n.plen) != dist[x] {
+				t.Fatalf("%s: structure toward %d: device %d has %d suffixes of %d links, spec %d of %d",
+					ctx, root, x, n.count, n.plen, want, dist[x])
+			}
+		}
+	}
+}
+
+// The stub and multi-homing edge cases, pinned to the executable
+// specification. On edgeCaseNet, every ordered pair of devices (switches
+// and the stub pair included) is evaluated at a light rate and at one that
+// overloads links, first with each link drained alone and then along a
+// sweep that drains every link in turn and undrains them again, so stub
+// roots (a switch whose one usable link leads to a stub) and unreachable
+// stubs occur. At every point EvaluateInto must equal referenceEvaluate over
+// the spec paths, Availability, on a fresh workspace before it and on its
+// workspace after it, must return the reference's availability bit for
+// bit, and every structure must hold the spec's path counts
+// (checkStructures).
+func TestStubAndMultiHomingEdgeCases(t *testing.T) {
+	net := edgeCaseNet()
+	r := NewRouter(net, nil)
+	var tms []TrafficMatrix
+	for _, gbps := range []float64{1, 30} {
+		tm := TrafficMatrix{Name: "all-pairs"}
+		for _, s := range net.Devices {
+			for _, d := range net.Devices {
+				if s != d {
+					tm.Demands = append(tm.Demands, Demand{Src: s.ID, Dst: d.ID, Gbps: gbps})
+				}
+			}
+		}
+		tms = append(tms, tm)
+	}
+	check := func(ctx string) {
+		t.Helper()
+		for _, tm := range tms {
+			var fresh, ws Workspace
+			first := r.Availability(&fresh, tm)
+			want := referenceEvaluate(net, tm, specMatrixPaths(r, tm))
+			if got := r.EvaluateInto(&ws, tm); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, %.0f Gbps: engine %v != per-pair reference %v", ctx, tm.Demands[0].Gbps, got, want)
+			}
+			bits := math.Float64bits(want.Availability())
+			if after := r.Availability(&ws, tm); math.Float64bits(first) != bits || math.Float64bits(after) != bits {
+				t.Fatalf("%s, %.0f Gbps: Availability %v before EvaluateInto, %v after, reference %v",
+					ctx, tm.Demands[0].Gbps, first, after, want.Availability())
+			}
+		}
+		checkStructures(t, r, ctx)
+	}
+	check("healthy")
+	for _, l := range net.Links {
+		r.Drain(l.ID)
+		check(l.Name() + " drained alone")
+		r.Undrain(l.ID)
+		check(l.Name() + " undrained")
+	}
+	for _, l := range net.Links {
+		r.Drain(l.ID)
+		check("sweep, " + l.Name() + " drained")
+	}
+	for _, l := range net.Links {
+		r.Undrain(l.ID)
+		check("sweep, " + l.Name() + " undrained")
 	}
 }

@@ -65,7 +65,9 @@ func fuzzInput(drains []topology.LinkID, demands ...fuzzDemand) []byte {
 // the spec paths exactly, and Availability, on a fresh router and on the
 // same router after EvaluateInto, must return the reference's availability
 // bit for bit; the rates put matrices below, at and above capacity, so
-// both the bound's answer and its fallback are fuzzed. The seeds cover the
+// both the bound's answer and its fallback are fuzzed. The fresh router
+// then runs EvaluateInto too, which must equal the reference: a root the
+// bound prepared without suffix arenas must be materialized correctly. The seeds cover the
 // uniform order, a run whose rate changes, a self-pair inside a run and a
 // duplicated demand.
 func FuzzEvaluateMatchesSpec(f *testing.F) {
@@ -117,6 +119,9 @@ func FuzzEvaluateMatchesSpec(f *testing.F) {
 		if after := r.Availability(&ws, tm); math.Float64bits(first) != bits || math.Float64bits(after) != bits {
 			t.Fatalf("drains %v, demands %v: Availability %v on a fresh router, %v after EvaluateInto, reference %v",
 				drains, tm.Demands, first, after, want.Availability())
+		}
+		if got := fresh.EvaluateInto(&freshWS, tm); !reflect.DeepEqual(got, want) {
+			t.Fatalf("drains %v, demands %v: engine after Availability %v != per-pair reference %v", drains, tm.Demands, got, want)
 		}
 	})
 }

@@ -53,9 +53,9 @@ func drainedCount(r *Router) int {
 // a fresh BFS, with a tight bitset equal to topology.ShortestPathLinks. No
 // transition may run a BFS: right after one that advanced the epoch, no
 // cached field carries the new epoch's stamp. Each burst sequence must drain
-// a host link while fields are cached — a host link is tight toward every
-// switch root, and its host loses its only next hop, so such a drain is the
-// transition that would recompute fields if any did.
+// a host link while fields are cached: a host is a stub, so the drain must
+// discard only the host's own root state, which checkFieldsExact and the
+// full-flush comparison then pin.
 func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 	type fabricCase struct {
 		name  string
@@ -133,8 +133,11 @@ func TestIncrementalInvalidationMatchesFullFlush(t *testing.T) {
 }
 
 // checkFieldsExact asserts that every distance field r holds is exact for
-// the live usable subgraph: its distances equal a fresh BFS and its tight
-// bitset holds exactly the links topology.ShortestPathLinks visits.
+// the live usable subgraph without other roots' stubs (a stub other than the
+// root is in no field): its distances equal a fresh BFS over the usable
+// links that have no such stub endpoint, its order lists exactly the
+// devices it reaches, in nondecreasing distance, and its tight bitset holds
+// exactly the links topology.ShortestPathLinks visits over those links.
 func checkFieldsExact(t *testing.T, r *Router, ctx string) {
 	t.Helper()
 	occupied := 0
@@ -144,15 +147,37 @@ func checkFieldsExact(t *testing.T, r *Router, ctx string) {
 		}
 		occupied++
 		dst := topology.DeviceID(i)
-		if want := r.net.HopDistances(dst, r.Usable); !slices.Equal(e.dist, want) {
-			t.Fatalf("%s: cached field toward device %d = %v, fresh BFS %v", ctx, dst, e.dist, want)
+		usable := func(l *topology.Link) bool {
+			for _, d := range [2]topology.DeviceID{l.A.Device.ID, l.B.Device.ID} {
+				if d != dst && len(r.net.Neighbors(d)) == 1 {
+					return false
+				}
+			}
+			return r.Usable(l)
 		}
-		want := make([]uint64, len(e.tight))
-		r.net.ShortestPathLinks(e.dist, r.Usable, func(l *topology.Link) {
-			want[l.ID>>6] |= 1 << (l.ID & 63)
+		want := r.net.HopDistances(dst, usable)
+		got := make([]int, len(e.dist))
+		for d, k := range e.dist {
+			got[d] = int(k)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: cached field toward device %d = %v, fresh BFS %v", ctx, dst, got, want)
+		}
+		reached := 0
+		for _, k := range want {
+			if k >= 0 {
+				reached++
+			}
+		}
+		if len(e.order) != reached || e.order[0] != int32(dst) || !slices.IsSortedFunc(e.order, func(a, b int32) int { return int(e.dist[a] - e.dist[b]) }) {
+			t.Fatalf("%s: BFS order toward device %d = %v, want the %d reached devices by distance", ctx, dst, e.order, reached)
+		}
+		tight := make([]uint64, len(e.tight))
+		r.net.ShortestPathLinks(want, usable, func(l *topology.Link) {
+			tight[l.ID>>6] |= 1 << (l.ID & 63)
 		})
-		if !slices.Equal(e.tight, want) {
-			t.Fatalf("%s: tight bitset toward device %d = %x, ShortestPathLinks %x", ctx, dst, e.tight, want)
+		if !slices.Equal(e.tight, tight) {
+			t.Fatalf("%s: tight bitset toward device %d = %x, ShortestPathLinks %x", ctx, dst, e.tight, tight)
 		}
 	}
 	if occupied != r.fields {
@@ -351,5 +376,61 @@ func TestDrainUndrainCycleZeroAlloc(t *testing.T) {
 	cycle()
 	if allocs := testing.AllocsPerRun(50, cycle); allocs != 0 {
 		t.Fatalf("warm drain/undrain cycle allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// A host-link transition touches no other root: on the k=4 fat-tree and the
+// standard hall (a 16×4 leaf-spine with 4 hosts per leaf), after a warm
+// Availability, draining and then undraining every host link in turn must
+// evict or re-stamp no switch root's field and leave every current
+// structure current (the same pointer), and the next Availability must build
+// nothing.
+func TestHostLinkTransitionTouchesNoOtherRoot(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		net  *topology.Network
+	}{{"fattree-k4", buildTopo(t, "fattree")}, {"standard hall", leafSpine(t, 16, 4, 4, 1)}} {
+		r := NewRouter(c.net, nil)
+		tm := UniformMatrix(c.net, hostInjection(c.net)/40)
+		var ws Workspace
+		r.Availability(&ws, tm)
+		type rootState struct {
+			cached bool
+			stamp  uint64
+			cur    *destState
+		}
+		snapshot := func() []rootState {
+			var s []rootState
+			for i, d := range c.net.Devices {
+				if d.Kind.IsSwitch() {
+					e := r.distCache[i]
+					s = append(s, rootState{e.dist != nil, e.stamp, r.destCur[i]})
+				}
+			}
+			return s
+		}
+		want, fields, free := snapshot(), r.fields, len(r.freeStates)
+		if fields == 0 {
+			t.Fatalf("%s: no field cached after a warm Availability", c.name)
+		}
+		check := func(ctx string) {
+			t.Helper()
+			if got := snapshot(); !slices.Equal(got, want) || r.fields != fields {
+				t.Fatalf("%s %s: switch roots' state changed (%d fields, want %d)", c.name, ctx, r.fields, fields)
+			}
+		}
+		for _, h := range c.net.Hosts() {
+			for _, np := range c.net.Neighbors(h.ID) {
+				r.Drain(np.Link.ID)
+				check("after draining " + np.Link.Name())
+				r.Undrain(np.Link.ID)
+				check("after undraining " + np.Link.Name())
+			}
+		}
+		r.Availability(&ws, tm)
+		check("after the next Availability")
+		if len(r.freeStates) != free {
+			t.Fatalf("%s: the next Availability built structures: %d free, want %d", c.name, len(r.freeStates), free)
+		}
 	}
 }

@@ -101,12 +101,13 @@ func clampLoss(v float64) float64 {
 // P99 and P999 observed — the fabric-level tail a flapping link creates.
 //
 // Paths are read off the destination-rooted structures as EvaluateInto
-// reads them: for each next hop p of the source, in adjacency order, the
-// first hop to p followed by each of the first c of p's suffixes toward the
-// destination's root, and then the destination's tail, if it has one; a
-// source at the root has one path, the tail alone. Each path is copied into
-// one reused buffer, so PathLatency sees the links of every per-pair path
-// in order — the tail last, since PathLatency folds in path order.
+// reads them: for each segment of the source, in order, the first hop to
+// its next hop followed by each of the first c of the next hop's suffixes
+// toward the destination's root, and then the destination's tail, if it
+// has one; a source at the root has one path, the tail alone. Each path is
+// copied into one reused buffer, so PathLatency sees the links of every
+// per-pair path in order — the tail last, since PathLatency folds in path
+// order.
 func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessment, loss LossFn) Percentiles {
 	util := func(id topology.LinkID) float64 {
 		cap := r.net.Links[id].GbpsCap
@@ -115,9 +116,10 @@ func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessmen
 		}
 		return a.LinkLoad[id] / cap
 	}
-	r.prepareDests(tm)
+	r.destSeq++
 	var worst Percentiles
 	var path topology.Path
+	var one [1]draw
 	visit := func() {
 		pc := lm.PathLatency(path, util, loss)
 		worst.P50 = max(worst.P50, pc.P50)
@@ -125,28 +127,22 @@ func (lm LatencyModel) WorstPairLatency(r *Router, tm TrafficMatrix, a Assessmen
 		worst.P999 = max(worst.P999, pc.P999)
 	}
 	for _, d := range tm.Demands {
-		ds, tail, n := r.routeCount(d)
+		if d.Src == d.Dst {
+			continue
+		}
+		tail := r.current(d.Dst, true).tail
+		ds, n, k, segs := r.paths(d, &one)
 		if n == 0 {
 			continue
 		}
-		k := ds.plen[d.Src]
 		if k == 0 {
 			path = append(path[:0], r.net.Links[tail]) // a source at the root
 			visit()
 			continue
 		}
-		for _, np := range r.net.Neighbors(d.Src) {
-			if n == 0 {
-				break
-			}
-			if !r.startsSegment(ds, np, k) {
-				continue
-			}
-			p := np.Peer.ID
-			c := min(n, ds.count[p])
-			n -= c
-			for s := ds.start[p]; c > 0; c-- {
-				path = append(path[:0], np.Link)
+		for _, sg := range segs {
+			for s, c := ds.start[sg.peer], sg.c; c > 0; c-- {
+				path = append(path[:0], r.net.Links[sg.link])
 				for _, l := range ds.arena[s : s+k-1] {
 					path = append(path, r.net.Links[l])
 				}
